@@ -47,7 +47,9 @@ WinogradTransform make_winograd_transform(std::int64_t e, std::int64_t r);
 /// Double accumulate, float storage; `scratch` holds rows x inner floats.
 /// Branch-free: zero coefficients add exact zeros, so the result equals
 /// the sparse product, whose multiply-adds are the transform's
-/// kernel_macs / input_macs / output_macs.
+/// kernel_macs / input_macs / output_macs. The shapes of F(2,3) and F(4,3)
+/// run with compile-time bounds, other sizes with runtime bounds; every
+/// element sums in order p = 0..inner-1 either way.
 void wino_sandwich(const double* M, std::int64_t rows, std::int64_t inner,
                    const float* D, float* out, float* scratch);
 

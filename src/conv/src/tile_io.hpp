@@ -1,6 +1,7 @@
 // Internal helpers for moving 2-D tiles between global tensors and shared
 // memory with exact I/O accounting (padding reads are free: real kernels
-// synthesise zeros on chip), and the direct kernels' shared tile update.
+// synthesise zeros on chip), and the direct kernels' single-output-channel
+// tile update.
 #pragma once
 
 #include <algorithm>
@@ -59,8 +60,8 @@ inline void store_output_tile(BlockContext& ctx, Tensor4<float>& out,
   }
 }
 
-/// The direct kernels' update of a resident output tile by one input
-/// channel slice: for dx < ex, dy < ey,
+/// The update of one output channel's resident tile by one input channel
+/// slice (direct_naive, and direct_tiled when z is 1): for dx < ex, dy < ey,
 ///   acc[dx*acc_stride + dy] += sum_{fh,fw} w[fh*kw + fw] *
 ///       tile[(dx*stride + fh)*tile_stride + dy*stride + fw].
 /// Pure host arithmetic (no counted traffic). Each weight is hoisted to a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <type_traits>
 
 #include "convbound/util/check.hpp"
 #include "convbound/util/rng.hpp"
@@ -40,19 +41,36 @@ std::uint64_t sandwich_macs(const std::vector<double>& M, std::int64_t rows,
   return nnz * static_cast<std::uint64_t>(inner + rows);
 }
 
-/// out(rows_a x cols_b) = A(rows_a x inner) * B(inner x cols_b).
-void wino_matmul(const double* A, const float* B, float* out,
-                 std::int64_t rows_a, std::int64_t inner,
-                 std::int64_t cols_b) {
-  for (std::int64_t i = 0; i < rows_a; ++i) {
-    for (std::int64_t j = 0; j < cols_b; ++j) {
+/// The sandwich body. Rows and Inner are either std::int64_t (runtime
+/// bounds) or std::integral_constant (compile-time bounds, so the loops
+/// unroll and the tile stays in registers); both instances run the same
+/// double accumulations in the same order.
+template <typename Rows, typename Inner>
+void sandwich(const double* __restrict M, Rows rows, Inner inner,
+              const float* __restrict D, float* __restrict out,
+              float* __restrict scratch) {
+  // scratch = M * D  (rows x inner).
+  for (std::int64_t i = 0; i < rows; ++i) {
+    for (std::int64_t j = 0; j < inner; ++j) {
       double acc = 0.0;
       for (std::int64_t p = 0; p < inner; ++p)
-        acc += A[i * inner + p] * static_cast<double>(B[p * cols_b + j]);
-      out[i * cols_b + j] = static_cast<float>(acc);
+        acc += M[i * inner + p] * static_cast<double>(D[p * inner + j]);
+      scratch[i * inner + j] = static_cast<float>(acc);
+    }
+  }
+  // out = scratch * M^T  (rows x rows).
+  for (std::int64_t i = 0; i < rows; ++i) {
+    for (std::int64_t j = 0; j < rows; ++j) {
+      double acc = 0.0;
+      for (std::int64_t p = 0; p < inner; ++p)
+        acc += static_cast<double>(scratch[i * inner + p]) * M[j * inner + p];
+      out[i * rows + j] = static_cast<float>(acc);
     }
   }
 }
+
+template <std::int64_t N>
+using Fixed = std::integral_constant<std::int64_t, N>;
 
 }  // namespace
 
@@ -155,16 +173,17 @@ WinogradTransform make_winograd_transform(std::int64_t e, std::int64_t r) {
 
 void wino_sandwich(const double* M, std::int64_t rows, std::int64_t inner,
                    const float* D, float* out, float* scratch) {
-  // scratch = M * D  (rows x inner);  out = scratch * M^T (rows x rows).
-  wino_matmul(M, D, scratch, rows, inner, inner);
-  for (std::int64_t i = 0; i < rows; ++i) {
-    for (std::int64_t j = 0; j < rows; ++j) {
-      double acc = 0.0;
-      for (std::int64_t p = 0; p < inner; ++p)
-        acc += static_cast<double>(scratch[i * inner + p]) * M[j * inner + p];
-      out[i * rows + j] = static_cast<float>(acc);
-    }
-  }
+  // The (rows, inner) pairs of F(2,3) and F(4,3): G, BT and AT.
+  auto is = [&](std::int64_t r, std::int64_t i) {
+    return rows == r && inner == i;
+  };
+  if (is(4, 3)) return sandwich(M, Fixed<4>{}, Fixed<3>{}, D, out, scratch);
+  if (is(4, 4)) return sandwich(M, Fixed<4>{}, Fixed<4>{}, D, out, scratch);
+  if (is(2, 4)) return sandwich(M, Fixed<2>{}, Fixed<4>{}, D, out, scratch);
+  if (is(6, 3)) return sandwich(M, Fixed<6>{}, Fixed<3>{}, D, out, scratch);
+  if (is(6, 6)) return sandwich(M, Fixed<6>{}, Fixed<6>{}, D, out, scratch);
+  if (is(4, 6)) return sandwich(M, Fixed<4>{}, Fixed<6>{}, D, out, scratch);
+  sandwich(M, rows, inner, D, out, scratch);
 }
 
 }  // namespace convbound

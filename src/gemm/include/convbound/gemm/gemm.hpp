@@ -15,6 +15,16 @@ namespace convbound {
 void gemm_ref(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t k, std::int64_t n);
 
+/// Host micro-kernel: C(m x n) += A(m x k) * B(k x n), row-major with
+/// leading dimensions lda >= k, ldb >= n, ldc >= n. Blocks of C stay in
+/// registers across the whole reduction, and every C element adds its k
+/// products one at a time in order p = 0..k-1, so the result is
+/// bit-identical to the plain i/p/j triple loop. Pure host arithmetic: it
+/// counts no traffic and no flops.
+void gemm_accumulate(const float* a, std::int64_t lda, const float* b,
+                     std::int64_t ldb, float* c, std::int64_t ldc,
+                     std::int64_t m, std::int64_t n, std::int64_t k);
+
 struct GemmConfig {
   std::int64_t tile_m = 64;
   std::int64_t tile_n = 64;

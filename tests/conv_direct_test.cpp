@@ -68,7 +68,14 @@ INSTANTIATE_TEST_SUITE_P(
         DirectCase{shape(1, 6, 14, 8, 1, 2, 0), cfg(3, 4, 4)},   // 1x1 s2
         DirectCase{shape(1, 3, 19, 4, 7, 2, 3), cfg(4, 3, 3)},   // 7x7 s2 p3
         DirectCase{shape(1, 4, 13, 6, 1, 1, 0), cfg(4, 5, 3)},   // 1x1, w % y
-        DirectCase{shape(1, 4, 13, 6, 1, 1, 0), cfg(5, 13, 3)}));  // full rows
+        DirectCase{shape(1, 4, 13, 6, 1, 1, 0), cfg(5, 13, 3)},  // full rows
+        // Tails of the 4x8 GEMM register block: z = 6 (4 + 2 rows); z = 26
+        // on a 7x7 output (ex*y = 49 columns); an edge tile with ey = 9
+        // (21 = 12 + 9) and ex = 1; 3x3 stride 2 with z >= 4.
+        DirectCase{shape(1, 3, 10, 12, 3, 1, 1), cfg(4, 5, 6)},
+        DirectCase{shape(1, 4, 7, 26, 3, 1, 1), cfg(7, 7, 26)},
+        DirectCase{shape(1, 3, 21, 8, 3, 1, 1), cfg(4, 12, 8)},
+        DirectCase{shape(1, 5, 15, 8, 3, 2, 1), cfg(4, 6, 4)}));
 
 class DirectBaselineCorrectness
     : public ::testing::TestWithParam<ConvShape> {};

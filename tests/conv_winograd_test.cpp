@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "convbound/conv/algorithms.hpp"
 #include "convbound/conv/reference.hpp"
 #include "convbound/conv/winograd.hpp"
 #include "convbound/conv/winograd_transform.hpp"
+#include "convbound/util/rng.hpp"
 
 namespace convbound {
 namespace {
@@ -55,6 +58,65 @@ TEST(TransformConstruction, F23MatchesClassicMatrices) {
   EXPECT_NEAR(t.bt(0, 1), 0.0, 1e-12);
   EXPECT_NEAR(t.bt(0, 2), -1.0, 1e-12);
   EXPECT_NEAR(t.bt(0, 3), 0.0, 1e-12);
+}
+
+/// The sandwich's definition: scratch = M * D, out = scratch * M^T, each
+/// element a double sum in order p = 0..inner-1, rounded to float.
+void reference_sandwich(const double* M, std::int64_t rows, std::int64_t inner,
+                        const float* D, float* out) {
+  std::vector<float> s(static_cast<std::size_t>(rows * inner));
+  for (std::int64_t i = 0; i < rows; ++i)
+    for (std::int64_t j = 0; j < inner; ++j) {
+      double acc = 0.0;
+      for (std::int64_t p = 0; p < inner; ++p)
+        acc += M[i * inner + p] * static_cast<double>(D[p * inner + j]);
+      s[static_cast<std::size_t>(i * inner + j)] = static_cast<float>(acc);
+    }
+  for (std::int64_t i = 0; i < rows; ++i)
+    for (std::int64_t j = 0; j < rows; ++j) {
+      double acc = 0.0;
+      for (std::int64_t p = 0; p < inner; ++p)
+        acc += static_cast<double>(s[static_cast<std::size_t>(i * inner + p)]) *
+               M[j * inner + p];
+      out[i * rows + j] = static_cast<float>(acc);
+    }
+}
+
+TEST(TransformConstruction, SandwichBitIdenticalToReferenceLoop) {
+  // Every F(e,r) with a <= 8: G, BT and AT through wino_sandwich, which
+  // runs compile-time bounds for the F(2,3) and F(4,3) shapes and runtime
+  // bounds for the rest.
+  Rng rng(17);
+  int transforms = 0;
+  for (std::int64_t e = 1; e <= 8; ++e) {
+    for (std::int64_t r = 1; e + r - 1 <= 8; ++r) {
+      if (e + r - 1 < 2) continue;
+      const WinogradTransform t = make_winograd_transform(e, r);
+      const std::int64_t a = t.a;
+      struct Use {
+        const std::vector<double>* M;
+        std::int64_t rows, inner;
+      };
+      for (const Use& u :
+           {Use{&t.G, a, r}, Use{&t.BT, a, a}, Use{&t.AT, e, a}}) {
+        std::vector<float> d(static_cast<std::size_t>(u.inner * u.inner));
+        for (auto& v : d) v = static_cast<float>(rng.uniform(-1, 1));
+        const auto out_size = static_cast<std::size_t>(u.rows * u.rows);
+        std::vector<float> got(out_size), want(out_size),
+            scratch(static_cast<std::size_t>(u.rows * u.inner));
+        wino_sandwich(u.M->data(), u.rows, u.inner, d.data(), got.data(),
+                      scratch.data());
+        reference_sandwich(u.M->data(), u.rows, u.inner, d.data(),
+                           want.data());
+        for (std::size_t i = 0; i < out_size; ++i)
+          ASSERT_EQ(got[i], want[i]) << "F(" << e << "," << r << ") rows="
+                                     << u.rows << " inner=" << u.inner
+                                     << " at " << i;
+      }
+      ++transforms;
+    }
+  }
+  EXPECT_EQ(transforms, 35);  // (e, r) pairs with 2 <= e + r - 1 <= 8
 }
 
 TEST(TransformConstruction, RejectsOversizedTiles) {

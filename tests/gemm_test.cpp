@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "convbound/gemm/gemm.hpp"
 #include "convbound/util/rng.hpp"
 
@@ -78,6 +80,52 @@ TEST(GemmSim, TileReuseReducesLoads) {
   const auto tiny_stats =
       gemm_sim(gpu, a.data(), b.data(), c.data(), m, k, n, tiny);
   EXPECT_LT(big_stats.bytes_loaded, tiny_stats.bytes_loaded);
+}
+
+TEST(GemmAccumulate, BitIdenticalToTripleLoop) {
+  // Padded leading dimensions: A and B padding holds NaN, so a read past
+  // column k of A or n of B poisons C; C padding holds a sentinel that
+  // must survive.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float sentinel = 1234.5f;
+  Rng rng(3);
+  for (const std::int64_t m : {1, 3, 4, 5, 9}) {
+    for (const std::int64_t n : {1, 7, 8, 9, 17, 33}) {
+      for (const std::int64_t k : {1, 9, 49}) {
+        const std::int64_t lda = k + 3, ldb = n + 5, ldc = n + 2;
+        std::vector<float> a(static_cast<std::size_t>(m * lda), nan),
+            b(static_cast<std::size_t>(k * ldb), nan),
+            c(static_cast<std::size_t>(m * ldc), sentinel);
+        for (std::int64_t i = 0; i < m; ++i)
+          for (std::int64_t p = 0; p < k; ++p)
+            a[static_cast<std::size_t>(i * lda + p)] =
+                static_cast<float>(rng.uniform(-1, 1));
+        for (std::int64_t p = 0; p < k; ++p)
+          for (std::int64_t j = 0; j < n; ++j)
+            b[static_cast<std::size_t>(p * ldb + j)] =
+                static_cast<float>(rng.uniform(-1, 1));
+        for (std::int64_t i = 0; i < m; ++i)
+          for (std::int64_t j = 0; j < n; ++j)
+            c[static_cast<std::size_t>(i * ldc + j)] =
+                static_cast<float>(rng.uniform(-1, 1));
+
+        std::vector<float> want = c;
+        for (std::int64_t i = 0; i < m; ++i)
+          for (std::int64_t p = 0; p < k; ++p)
+            for (std::int64_t j = 0; j < n; ++j)
+              want[static_cast<std::size_t>(i * ldc + j)] +=
+                  a[static_cast<std::size_t>(i * lda + p)] *
+                  b[static_cast<std::size_t>(p * ldb + j)];
+
+        gemm_accumulate(a.data(), lda, b.data(), ldb, c.data(), ldc, m, n, k);
+        for (std::size_t idx = 0; idx < c.size(); ++idx)
+          ASSERT_EQ(c[idx], want[idx])
+              << "m=" << m << " n=" << n << " k=" << k << " at row "
+              << idx / static_cast<std::size_t>(ldc) << " col "
+              << idx % static_cast<std::size_t>(ldc);
+      }
+    }
+  }
 }
 
 TEST(GemmSim, RejectsBadDims) {
