@@ -161,7 +161,10 @@ class BlockContext {
 /// decides which host threads do the arithmetic.
 enum class ExecMode {
   /// Blocks striped across the thread pool (one worker per SM). Default;
-  /// right for measuring a single kernel as fast as possible.
+  /// right for measuring a single kernel as fast as possible. A launch made
+  /// on a worker of that same pool runs like kSerial on the calling worker
+  /// instead, since waiting there on its own pool can deadlock (see
+  /// thread_pool.hpp); the counts and modelled time are the same.
   kStriped,
   /// All blocks drained on the calling thread. Used by the batched tuning
   /// pipeline, where parallelism lives at the candidate level and a striped

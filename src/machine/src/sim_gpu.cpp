@@ -14,10 +14,12 @@ LaunchStats SimGpu::launch(const LaunchConfig& cfg, const Kernel& kernel) {
     std::uint64_t loaded = 0, stored = 0, flops = 0;
   };
 
-  if (mode_ == ExecMode::kSerial) {
+  if (mode_ == ExecMode::kSerial || pool_->on_worker_thread()) {
     // Drain every block on the calling thread. Counter totals (and therefore
     // the modelled time) are bit-identical to the striped path because they
     // are exact integer sums, independent of which thread ran which block.
+    // A pool worker never stripes onto its own pool: it would wait on
+    // stripes that no free worker may be left to run (thread_pool.hpp).
     SharedMemory smem(static_cast<std::size_t>(
         cfg.smem_bytes_per_block > 0 ? cfg.smem_bytes_per_block
                                      : spec_.shared_mem_per_sm));

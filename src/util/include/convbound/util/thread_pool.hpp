@@ -3,6 +3,16 @@
 // In the GPU simulator one pool worker plays the role of one streaming
 // multiprocessor: thread blocks are submitted as tasks and drained by
 // `num_threads()` workers, mirroring how a GPU schedules blocks onto SMs.
+//
+// Nested work: a worker that blocks on work queued to its own pool can wait
+// forever, because once every worker waits no thread is left to run the
+// queue (tuned serving warmup is this shape: sessions warm in a
+// parallel_for, and each one's batched measurement calls parallel_for
+// again). So work that a worker hands to its own pool and then waits for
+// runs inline on that worker: parallel_for does, and so does a striped
+// SimGpu::launch. The outermost parallel_for still spreads over every
+// worker. submit() never runs inline; a worker may submit to its own pool,
+// but must not block on the future.
 #pragma once
 
 #include <cstddef>
@@ -43,9 +53,14 @@ class ThreadPool {
   }
 
   /// Runs fn(i) for i in [begin, end) across the pool and blocks until done.
-  /// Work is chunked to amortise queueing overhead.
+  /// Work is chunked to amortise queueing overhead. Called on a worker of
+  /// this pool, it runs fn(begin..end-1) inline in index order instead (see
+  /// the file comment); an exception then stops the loop at once.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
+
+  /// True when the calling thread is one of this pool's workers.
+  bool on_worker_thread() const;
 
   /// Process-wide shared pool (sized to hardware concurrency).
   static ThreadPool& global();

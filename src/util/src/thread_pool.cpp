@@ -7,6 +7,11 @@
 
 namespace convbound {
 
+namespace {
+// The pool whose worker_loop runs on this thread; null off every pool.
+thread_local const ThreadPool* tls_owner = nullptr;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t n) {
   if (n == 0) n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   workers_.reserve(n);
@@ -24,7 +29,10 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
+bool ThreadPool::on_worker_thread() const { return tls_owner == this; }
+
 void ThreadPool::worker_loop() {
+  tls_owner = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -43,8 +51,8 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   CB_CHECK(begin <= end);
   const std::size_t total = end - begin;
   if (total == 0) return;
-  if (total == 1) {
-    fn(begin);
+  if (total == 1 || on_worker_thread()) {
+    for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
   const std::size_t nthreads = num_threads();

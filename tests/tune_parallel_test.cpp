@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "convbound/tune/batch_measure.hpp"
 #include "convbound/tune/engine.hpp"
@@ -122,29 +123,92 @@ TEST(BatchMeasurer, EmptyBatchIsNoop) {
   EXPECT_EQ(batched.trials(), 0u);
 }
 
+TEST(BatchMeasurer, NestedInPoolMatchesSerialMeasurer) {
+  // The tuned-warm shape: more measurers than pool threads, each built and
+  // run inside a parallel_for index of the same pool it measures on. The
+  // nested measure_batch must finish and stay bit-identical to one worker.
+  SimGpu gpu(MachineSpec::v100());
+  const auto domain = SearchDomain::build(small_shape(), gpu.spec());
+  Rng rng(21);
+  std::vector<ConvConfig> cfgs;
+  for (int i = 0; i < 6; ++i) cfgs.push_back(domain.sample(rng));
+  BatchMeasurer one(gpu.spec(), domain, 5, 1);
+  const auto ref = one.measure_batch(cfgs);
+
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    std::vector<std::vector<Measurement>> got(threads + 1);
+    pool.parallel_for(0, threads + 1, [&](std::size_t s) {
+      BatchMeasurer nested(gpu.spec(), domain, 5, 0, &pool);
+      got[s] = nested.measure_batch(cfgs);
+    });
+    for (std::size_t s = 0; s < got.size(); ++s) {
+      ASSERT_EQ(got[s].size(), ref.size()) << threads << " threads";
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_EQ(got[s][i].valid, ref[i].valid) << threads << "t " << i;
+        EXPECT_EQ(got[s][i].seconds, ref[i].seconds) << threads << "t " << i;
+        EXPECT_EQ(got[s][i].stats.bytes_loaded, ref[i].stats.bytes_loaded)
+            << threads << "t " << i;
+        EXPECT_EQ(got[s][i].stats.bytes_stored, ref[i].stats.bytes_stored)
+            << threads << "t " << i;
+        EXPECT_EQ(got[s][i].stats.flops, ref[i].stats.flops)
+            << threads << "t " << i;
+      }
+    }
+  }
+}
+
+LaunchConfig small_launch() {
+  LaunchConfig cfg;
+  cfg.num_blocks = 37;
+  cfg.threads_per_block = 64;
+  cfg.smem_bytes_per_block = 1024;
+  return cfg;
+}
+
+void small_kernel(BlockContext& ctx) {
+  auto span = ctx.smem().alloc<float>(16);
+  float src[16] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
+  ctx.load(src, span.data(), 16);
+  ctx.add_flops(2 * 16);
+  float out[16];
+  ctx.store(out, span.data(), 16);
+}
+
 TEST(SimGpuExecMode, SerialAndStripedCountIdentically) {
   SimGpu striped(MachineSpec::test_machine());
   SimGpu serial(MachineSpec::test_machine(), nullptr, ExecMode::kSerial);
   EXPECT_EQ(serial.exec_mode(), ExecMode::kSerial);
 
-  LaunchConfig cfg;
-  cfg.num_blocks = 37;
-  cfg.threads_per_block = 64;
-  cfg.smem_bytes_per_block = 1024;
-  auto kernel = [](BlockContext& ctx) {
-    auto span = ctx.smem().alloc<float>(16);
-    float src[16] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
-    ctx.load(src, span.data(), 16);
-    ctx.add_flops(2 * 16);
-    float out[16];
-    ctx.store(out, span.data(), 16);
-  };
-  const LaunchStats a = striped.launch(cfg, kernel);
-  const LaunchStats b = serial.launch(cfg, kernel);
+  const LaunchStats a = striped.launch(small_launch(), small_kernel);
+  const LaunchStats b = serial.launch(small_launch(), small_kernel);
   EXPECT_EQ(a.bytes_loaded, b.bytes_loaded);
   EXPECT_EQ(a.bytes_stored, b.bytes_stored);
   EXPECT_EQ(a.flops, b.flops);
   EXPECT_EQ(a.sim_time, b.sim_time);
+}
+
+TEST(SimGpuExecMode, StripedLaunchFromOwnPoolWorkerCountsIdentically) {
+  // A striped launch issued from a worker of its own pool runs its blocks
+  // on that worker; counters and modelled time equal a serial launch.
+  SimGpu serial(MachineSpec::test_machine(), nullptr, ExecMode::kSerial);
+  const LaunchStats ref = serial.launch(small_launch(), small_kernel);
+
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    SimGpu striped(MachineSpec::test_machine(), &pool);
+    std::vector<LaunchStats> got(threads + 1);
+    pool.parallel_for(0, threads + 1, [&](std::size_t s) {
+      got[s] = striped.launch(small_launch(), small_kernel);
+    });
+    for (const LaunchStats& a : got) {
+      EXPECT_EQ(a.bytes_loaded, ref.bytes_loaded) << threads << " threads";
+      EXPECT_EQ(a.bytes_stored, ref.bytes_stored) << threads << " threads";
+      EXPECT_EQ(a.flops, ref.flops) << threads << " threads";
+      EXPECT_EQ(a.num_blocks, ref.num_blocks) << threads << " threads";
+      EXPECT_EQ(a.sim_time, ref.sim_time) << threads << " threads";
+    }
+  }
 }
 
 TEST(Engine, BatchedAutotuneDeterministicAcrossWorkerCounts) {

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "convbound/util/check.hpp"
 #include "convbound/util/math.hpp"
@@ -155,6 +157,53 @@ TEST(ThreadPool, SubmitFromParallelForBody) {
   });
   for (auto& f : futs) f.get();
   EXPECT_EQ(total.load(), 8);
+}
+
+TEST(ThreadPool, NestedParallelForRunsInlineOnWorkers) {
+  // The tuned-warm shape: every worker of the pool is busy in an outer
+  // parallel_for body that runs another parallel_for on the same pool. The
+  // inner loops must finish even when no worker is left to take queued
+  // chunks, and they run on the calling worker.
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    EXPECT_FALSE(pool.on_worker_thread());
+    const std::size_t outer = 4 * threads + 1;
+    const std::size_t inner = 16;
+    std::vector<std::atomic<int>> hits(outer * inner);
+    std::atomic<int> off_worker{0};
+    pool.parallel_for(0, outer, [&](std::size_t o) {
+      const std::thread::id caller = std::this_thread::get_id();
+      pool.parallel_for(0, inner, [&](std::size_t i) {
+        if (!pool.on_worker_thread() ||
+            std::this_thread::get_id() != caller)
+          off_worker.fetch_add(1, std::memory_order_relaxed);
+        hits[o * inner + i].fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+    EXPECT_EQ(off_worker.load(), 0) << threads << " threads";
+    for (std::size_t k = 0; k < hits.size(); ++k)
+      EXPECT_EQ(hits[k].load(), 1) << threads << " threads, index " << k;
+  }
+}
+
+TEST(ThreadPool, NestedParallelForPropagatesExceptions) {
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    EXPECT_THROW(pool.parallel_for(0, 4 * threads + 1,
+                                   [&](std::size_t o) {
+                                     pool.parallel_for(
+                                         0, 16, [&](std::size_t i) {
+                                           if (o == 2 && i == 7)
+                                             throw Error("nested boom");
+                                         });
+                                   }),
+                 Error)
+        << threads << " threads";
+    // The pool must stay usable after the nested throw.
+    std::atomic<int> count{0};
+    pool.parallel_for(0, 64, [&](std::size_t) { ++count; });
+    EXPECT_EQ(count.load(), 64) << threads << " threads";
+  }
 }
 
 TEST(ThreadPool, EmptyRangeIsNoop) {
