@@ -1,7 +1,8 @@
 // Serving throughput: open-loop load generator sweeping offered load x
 // batching policy over (scaled-down) zoo models.
 //
-// For each (offered rps, policy) cell a fresh server is started, `kRequests`
+// For each (offered rps, policy) cell a fresh one-device server (the
+// cluster front door with a fleet of one) is started, `kRequests`
 // requests are injected at fixed inter-arrival times, and the run reports
 // achieved wall throughput, the modelled-accelerator throughput (requests
 // per simulated GPU second — the machine-model figure of merit), and wall
@@ -64,20 +65,28 @@ std::map<std::string, std::int64_t> g_buckets;  // model -> bound-guided bucket
 RunResult run_load(const std::vector<ServedModel>& models,
                    const std::string& policy, std::int64_t force_bucket,
                    double offered_rps) {
-  ServerOptions opts;
-  opts.workers = kWorkers;
-  opts.replicas = kWorkers;  // all workers can run same-model batches
+  ClusterOptions opts;
+  DeviceConfig d;
+  d.spec = MachineSpec::v100();
+  d.workers = kWorkers;
+  d.replicas = kWorkers;  // all workers can run same-model batches
+  // One pending group per worker: groups form as late as possible, so the
+  // saturation backlog keeps batching up in the request queue.
+  d.max_pending_groups = kWorkers;
+  opts.devices.push_back(d);
+  opts.max_queue = 256;
   // Window sized so groups fill from the backlog once the host saturates;
   // at light load it is the latency price of batching (visible in p50).
   opts.max_delay = std::chrono::microseconds(4000);
   opts.force_bucket = force_bucket;
   // Bucket 4: at these request sizes the amortisation curve has flattened
   // by 4 (see the bucket table) and partial-group padding stays small.
-  opts.policy.max_bucket = 4;
-  InferenceServer server(models, opts);
+  opts.batch_policy.max_bucket = 4;
+  ClusterServer server(models, opts);
   server.start();
   if (force_bucket == 0)
-    for (const auto& m : models) g_buckets[m.name] = server.bucket_of(m.name);
+    for (const auto& m : models)
+      g_buckets[m.name] = server.device(0).engine().bucket_of(m.name);
 
   const int n = num_requests();
   const std::uint64_t seed = seed_base();
@@ -102,7 +111,7 @@ RunResult run_load(const std::vector<ServedModel>& models,
   const double wall =
       std::chrono::duration<double>(ServeClock::now() - t0).count();
 
-  const StatsSnapshot s = server.stats();
+  const StatsSnapshot s = server.stats().fleet;
   server.stop();
   RunResult r;
   r.policy = policy;

@@ -18,7 +18,7 @@
 //    is reported (wide gate) — the ring write is real work, and the micro
 //    loop is a worst case with almost no application work to amortise it.
 //
-// 2. Serve loop — the real InferenceServer closed loop (as in the serve
+// 2. Serve loop — the real one-device server closed loop (as in the serve
 //    CLI smoke) run tracing-off then tracing-on; serve_on_over_off gates
 //    that end-to-end serving pays at most ~10% for a fully recorded trace
 //    (in practice it is within noise: per-request event cost is tens of
@@ -132,9 +132,15 @@ std::vector<ServedModel> bench_models() {
 
 ServeResult run_serve(bool tracing) {
   const std::vector<ServedModel> models = bench_models();
-  ServerOptions opts;
-  opts.workers = 2;
-  InferenceServer server(models, opts);
+  ClusterOptions opts;
+  DeviceConfig d;
+  d.spec = MachineSpec::v100();
+  d.workers = 2;
+  d.replicas = 1;
+  d.max_pending_groups = d.workers;  // one pending group per worker
+  opts.devices.push_back(d);
+  opts.max_queue = 256;
+  ClusterServer server(models, opts);
   server.start();
 
   ObsRegistry::set_enabled(tracing);
@@ -158,7 +164,7 @@ ServeResult run_serve(bool tracing) {
   for (auto& t : threads) t.join();
   const double wall = timer.seconds();
   ObsRegistry::set_enabled(false);
-  const StatsSnapshot s = server.stats();
+  const StatsSnapshot s = server.stats().fleet;
   server.stop();
   ObsRegistry::global().clear();
 

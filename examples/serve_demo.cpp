@@ -1,6 +1,7 @@
-// Dynamic micro-batching inference server in ~60 lines: three client
-// threads fire requests at two (scaled-down) zoo models; the server groups
-// them into bound-guided micro-batches over warm, pre-planned sessions.
+// Dynamic micro-batching inference server in ~70 lines: three client
+// threads fire requests at two (scaled-down) zoo models; the server — the
+// cluster front door with a fleet of one device — groups them into
+// bound-guided micro-batches over warm, pre-planned sessions.
 //
 //   ./serve_demo
 #include <atomic>
@@ -23,14 +24,21 @@ int main() {
   models.push_back(make_served_model("squeezenet", squeezenet_v10(), scale));
   models.push_back(make_served_model("resnet-18", resnet18(), scale));
 
-  ServerOptions opts;
-  opts.workers = 2;
+  // One V100 with two executor workers. One pending group per worker
+  // makes the scheduler form each group only once a worker is free.
+  DeviceConfig device;
+  device.spec = MachineSpec::v100();
+  device.workers = 2;
+  device.replicas = 1;
+  device.max_pending_groups = device.workers;
+  ClusterOptions opts;
+  opts.devices.push_back(device);
   opts.max_delay = std::chrono::microseconds(1000);
-  InferenceServer server(models, opts);
+  ClusterServer server(models, opts);
   server.start();  // plans + warms every (model, bucket) session
 
   for (const auto& m : models) {
-    const BucketChoice& c = server.bucket_choice(m.name);
+    const BucketChoice& c = server.device(0).engine().bucket_choice(m.name);
     std::printf("%s: bound-guided batch bucket = %lld\n", m.name.c_str(),
                 static_cast<long long>(c.bucket));
     for (const auto& s : c.scores)
@@ -65,7 +73,7 @@ int main() {
   CB_CHECK_MSG(failures.load() == 0,
                failures.load() << " requests failed or mismatched");
 
-  const StatsSnapshot s = server.stats();
+  const StatsSnapshot s = server.stats().fleet;
   std::printf("\nserved %llu requests in %llu micro-batches "
               "(mean batch %.2f)\n",
               static_cast<unsigned long long>(s.completed),

@@ -131,7 +131,9 @@ std::future<InferResponse> ClusterServer::submit(InferRequest request) {
                                                  ServeTimePoint::max());
   const std::string cls = p.tenant_class;
   std::future<InferResponse> fut = p.promise.get_future();
-  // Correlation id only when tracing (see InferenceServer::submit).
+  // Correlation id only when tracing: the fetch_add on a shared counter is
+  // cheap but not free, and the submit hot path is gated at zero overhead
+  // with tracing off (bench/trace_overhead.cpp).
   const bool tracing = obs::on();
   if (tracing) p.trace_id = ObsRegistry::next_request_id();
   const std::uint64_t trace_id = p.trace_id;
@@ -142,54 +144,45 @@ std::future<InferResponse> ClusterServer::submit(InferRequest request) {
   ServerStats& stripe =
       stats_.stripe(queue_.shard_of(p.request.model, p.class_index));
 
-  if (stopped_.load(std::memory_order_seq_cst)) {
-    InferResponse r;
-    r.status = ServeStatus::kShutdown;
-    stripe.record_shutdown_rejected(cls);
+  // Every refusal takes the same steps: count it on the stripe, emit a
+  // kShed instant carrying the status, resolve the promise. `p` is intact
+  // here — push() leaves it untouched on a non-kOk verdict.
+  const auto shed = [&](ServeStatus status) {
+    if (status == ServeStatus::kRejected) {
+      stripe.record_rejected(cls);
+    } else if (status == ServeStatus::kQuotaExceeded) {
+      stripe.record_quota_rejected(cls);
+    } else {
+      stripe.record_shutdown_rejected(cls);
+    }
     obs::instant(TraceStage::kShed, enqueued, trace_id, 0, -1,
-                 static_cast<double>(ServeStatus::kShutdown));
+                 static_cast<double>(status));
+    InferResponse r;
+    r.status = status;
     p.promise.set_value(std::move(r));
-    return fut;
-  }
-  // `p` is untouched on a non-kOk push; the queue's own closed flag (not a
-  // re-read of stopped_) decides shutdown races, so a submit that loses to
-  // a concurrent stop() resolves kShutdown instead of hanging.
+    return std::move(fut);
+  };
+
+  if (stopped_.load(std::memory_order_seq_cst))
+    return shed(ServeStatus::kShutdown);
+  // The queue's own closed flag (not a re-read of stopped_) decides
+  // shutdown races, so a submit that loses to a concurrent stop() resolves
+  // kShutdown instead of hanging.
   std::size_t depth_after = 0;
   switch (queue_.push(std::move(p), &depth_after)) {
-    case RequestQueue::Admit::kOk:
-      // depth_after came out of the push itself — the old code re-locked
-      // the queue with queue_.depth() right after push released it.
+    case ShardedRequestQueue::Admit::kOk:
+      // depth_after came out of the push itself, so recording it never
+      // re-reads the queue.
       stripe.record_submitted(depth_after, cls);
       obs::instant(TraceStage::kAdmit, enqueued, trace_id, 0, -1,
                    static_cast<double>(depth_after));
       return fut;
-    case RequestQueue::Admit::kFull: {
-      InferResponse r;
-      r.status = ServeStatus::kRejected;
-      stripe.record_rejected(cls);
-      obs::instant(TraceStage::kShed, enqueued, trace_id, 0, -1,
-                   static_cast<double>(ServeStatus::kRejected));
-      p.promise.set_value(std::move(r));
-      return fut;
-    }
-    case RequestQueue::Admit::kQuota: {
-      InferResponse r;
-      r.status = ServeStatus::kQuotaExceeded;
-      stripe.record_quota_rejected(cls);
-      obs::instant(TraceStage::kShed, enqueued, trace_id, 0, -1,
-                   static_cast<double>(ServeStatus::kQuotaExceeded));
-      p.promise.set_value(std::move(r));
-      return fut;
-    }
-    case RequestQueue::Admit::kClosed: {
-      InferResponse r;
-      r.status = ServeStatus::kShutdown;
-      stripe.record_shutdown_rejected(cls);
-      obs::instant(TraceStage::kShed, enqueued, trace_id, 0, -1,
-                   static_cast<double>(ServeStatus::kShutdown));
-      p.promise.set_value(std::move(r));
-      return fut;
-    }
+    case ShardedRequestQueue::Admit::kFull:
+      return shed(ServeStatus::kRejected);
+    case ShardedRequestQueue::Admit::kQuota:
+      return shed(ServeStatus::kQuotaExceeded);
+    case ShardedRequestQueue::Admit::kClosed:
+      return shed(ServeStatus::kShutdown);
   }
   return fut;  // unreachable
 }

@@ -35,7 +35,6 @@
 #include "convbound/plan/workspace.hpp"
 #include "convbound/serve/batch_policy.hpp"
 #include "convbound/serve/model.hpp"
-#include "convbound/serve/server.hpp"
 #include "convbound/tensor/conv_shape.hpp"
 #include "convbound/tensor/tensor.hpp"
 #include "convbound/tune/engine.hpp"

@@ -1,5 +1,5 @@
-// The execution half of a serving node, shared by the single-device
-// InferenceServer and the cluster layer's per-device nodes.
+// The execution half of a serving node: one per ClusterDevice in the
+// cluster layer (a single-device server is a fleet of one).
 //
 // A ServeEngine owns everything one *device* needs to execute micro-batch
 // groups: the bound-guided bucket choice per model (choose_batch_bucket
@@ -47,8 +47,8 @@ struct EngineOptions {
   PlanMode plan_mode = PlanMode::kMeasured;
   int tune_budget = 16;
   std::uint64_t seed = 42;
-  /// Fleet ordinal stamped on this engine's trace events (0 for the
-  /// single-device server; the cluster sets each device's index).
+  /// Fleet ordinal stamped on this engine's trace events (the cluster sets
+  /// each device's index).
   int device_ordinal = 0;
 };
 
@@ -110,8 +110,8 @@ class ServeEngine {
   /// replays them so its plan() calls are memo hits. Written only by
   /// warm() before any thread serves — unguarded by design, like
   /// buckets_/exec_buckets_ below (warm() must complete before
-  /// execute_batch()/bucket_of() may be called; the lifecycle guards in
-  /// InferenceServer::start()/ClusterDevice::start() enforce that).
+  /// execute_batch()/bucket_of() may be called; the lifecycle guard in
+  /// ClusterDevice::start() enforces that).
   PlannerOptions plan_opts_;
   std::map<std::string, BucketChoice> buckets_;
   std::map<std::string, std::vector<std::int64_t>> exec_buckets_;

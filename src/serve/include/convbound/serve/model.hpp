@@ -72,13 +72,13 @@ Tensor4<float> make_request_input(const ServedModel& model,
                                   std::uint64_t seed);
 
 /// Indexes a model list by name, rejecting empty lists and duplicate
-/// names. Shared by the single-device server and the cluster front door.
+/// names (the cluster front door's model table).
 std::map<std::string, ServedModel> index_models(
     std::vector<ServedModel> models);
 
 /// Looks up `request.model` in `models` and CB_CHECKs the input geometry
-/// ([1, cin, hin, win] NCHW). Shared by the single-device server and the
-/// cluster front door, so both reject malformed requests identically.
+/// ([1, cin, hin, win] NCHW). The cluster front door calls it on every
+/// submit, so a malformed request throws at the call site.
 const ServedModel& validate_request(
     const std::map<std::string, ServedModel>& models,
     const InferRequest& request);

@@ -15,13 +15,12 @@
 // counts toward backpressure) instead of fragmenting into partial groups
 // queued behind busy workers.
 //
-// Placement is what generalizes this scheduler across serving tiers: the
-// single-device InferenceServer reserves one of its executor slots and
-// returns its own bucket for the model, while the cluster layer's Router
-// picks the device with the best predicted completion and returns *that
-// device's* bucket (buckets are per-MachineSpec). The scheduler itself is
-// placement-agnostic; it only promises to hand the reserved placement back
-// unchanged in `dispatch`.
+// Placement is how the scheduler stays fleet-agnostic: the cluster
+// layer's Router picks the device with the best predicted completion
+// (blocking until one has a free pending slot) and returns *that device's*
+// bucket (buckets are per-MachineSpec). A single-device server is a fleet
+// of one whose pending cap equals its worker count. The scheduler only
+// promises to hand the reserved placement back unchanged in `dispatch`.
 #pragma once
 
 #include <chrono>
@@ -35,15 +34,14 @@
 
 namespace convbound {
 
-/// Where (and at what max group size) a group will execute. `device` is an
-/// owner-defined token — always 0 for the single-device server, a fleet
-/// index for the cluster.
+/// Where (and at what max group size) a group will execute. `device` is
+/// the reserver's fleet index (-1: no device could take the group).
 struct Placement {
   std::int64_t bucket = 1;
   int device = 0;
   /// The reserver's predicted modelled execution time for a full bucket on
-  /// the chosen device (the Router's cost-table entry; the server's warm
-  /// plan replay). Recorded on the placement trace event so modelled vs.
+  /// the chosen device (the Router's cost-table entry, read from the warm
+  /// plans). Recorded on the placement trace event so modelled vs.
   /// wall is inspectable per batch; 0 when the reserver has no prediction.
   double predicted_batch_seconds = 0;
 };

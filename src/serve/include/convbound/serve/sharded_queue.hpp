@@ -1,5 +1,5 @@
 // Sharded serving front door: N RequestQueue shards behind a facade that
-// preserves the single-queue contract.
+// is the serving stack's only admission authority.
 //
 // Why: every producer thread, the scheduler, and every stats read used to
 // serialize on ONE queue mutex (and the depth() read on the submit path
@@ -15,18 +15,18 @@
 // EDF order is exact); adding the class index as tiebreak spreads a hot
 // model's tenant classes across shards instead of piling them onto one.
 //
-// Admission is decided at the facade on relaxed atomics *before* touching
-// any shard, reservation-style: depth is fetch_add'd, checked against
-// global capacity, and undone on rejection (likewise the per-class counter
-// against its weighted-fair share when fill >= congestion x capacity).
-// The counters therefore never exceed their caps and strict global
-// capacity/quota semantics survive sharding — per-shard capacity never
-// binds (each shard is sized to the global capacity). A capacity rejection
-// sweeps all shards for expired entries once and retries, matching the
-// single-queue rule that dead occupants never cost live traffic a
-// rejection. The shard insert itself goes through RequestQueue::readmit,
-// which bypasses the shard's own capacity/quota but respects close — the
-// shard's closed bit decides submit-vs-stop races exactly as before.
+// Admission is two-tier and decided here on relaxed atomics *before*
+// touching any shard, reservation-style: depth is claimed by CAS against
+// the global capacity (backpressure: a full queue rejects instead of
+// blocking), and the per-class counter is fetch_add'd and checked against
+// the class's weighted-fair share (weight_c / sum(weights) x capacity,
+// min 1) once fill >= congestion x capacity — below that threshold
+// admission is work-conserving. Both are undone on rejection, so the
+// counters never exceed their caps. A rejection sweeps all shards for
+// expired entries once and retries: dead occupants never cost live
+// traffic a rejection. The shard insert itself (RequestQueue::insert)
+// respects only close — the shard's closed bit, read under its mutex,
+// decides submit-vs-stop races.
 //
 // Ordering is approximate-global-EDF: exact EDF within each shard;
 // wait_front scans the N shard heads and reports the globally most urgent
@@ -35,14 +35,14 @@
 // less urgent at scan time — the inversion is bounded at shard
 // granularity (never within a shard, and wait_front itself always names
 // the true global minimum at scan time; see docs/serving.md and the
-// ApproximateGlobalEdf test).
+// ApproximateGlobalEdf test). shards = 1 is the exact single-queue case.
 //
 // Expiry stays queue-owned per shard; the facade interposes on each
 // shard's on_expired to keep the global atomics in step before forwarding
-// to the owner's callback. Cross-shard blocking (wait_front, collect's
-// group wait) uses a facade-level condition variable with a version
-// counter: every shard notification bumps the version, so a waiter never
-// sleeps through a push to a shard it wasn't watching.
+// to the owner's callback. Blocking (wait_front, collect's group wait)
+// happens only here, on a facade-level condition variable with a version
+// counter: every shard insert bumps the version, so a waiter never sleeps
+// through a push to a shard it wasn't watching.
 #pragma once
 
 #include <atomic>
@@ -62,21 +62,31 @@ namespace convbound {
 
 class ShardedRequestQueue {
  public:
-  using Admit = RequestQueue::Admit;
+  /// Push verdict. The caller completes the promise itself on non-kOk:
+  /// kFull -> kRejected, kQuota -> kQuotaExceeded, kClosed -> kShutdown.
+  /// Returning kClosed (instead of making the caller re-read its own
+  /// stopped flag) is what makes submit-vs-stop race-free: the shard's
+  /// mutex decides which side won.
+  enum class Admit { kOk, kFull, kQuota, kClosed };
 
   /// `capacity` is the *global* bound; `shards` >= 1 (clamped).
   ShardedRequestQueue(std::size_t capacity, std::size_t shards);
   ShardedRequestQueue(const ShardedRequestQueue&) = delete;
   ShardedRequestQueue& operator=(const ShardedRequestQueue&) = delete;
 
-  /// Same contract as RequestQueue::set_tenancy; call before any thread
-  /// touches the queue. Quota is enforced on the facade's cross-shard
-  /// class totals, not per shard.
+  /// Installs the tenant table quota admission consults. `table` must
+  /// outlive the queue; call before any thread touches it. Without one,
+  /// every entry is class 0 and quota never binds (single-tenant
+  /// behaviour). `congestion` in [0,1] is the fill fraction at which
+  /// per-class shares start binding; they bind on the cross-shard class
+  /// totals.
   void set_tenancy(const TenantTable* table, double congestion);
 
-  /// Same contract as RequestQueue::set_on_expired: (class index, count)
-  /// for queue-expired requests, called after the global counters already
-  /// reflect the removal.
+  /// Called with (class index, count) for requests a shard just expired
+  /// (their promises are already completed with kDeadlineExceeded), after
+  /// the global counters reflect the removal. Set once, before any thread
+  /// touches the queue; the owner uses it to keep its `expired` counters
+  /// in step with the resolved futures.
   void set_on_expired(std::function<void(std::size_t, std::size_t)> fn) {
     on_expired_ = std::move(fn);
   }
@@ -88,12 +98,18 @@ class ShardedRequestQueue {
     return (std::hash<std::string>{}(model) + class_index) % shards_.size();
   }
 
-  /// Facade-level admission (strict global capacity + weighted-fair
-  /// quota), then sharded insert. On kOk, `depth_after` receives the
-  /// global depth right after this insert's reservation.
+  /// Admission (strict global capacity + weighted-fair quota), then
+  /// sharded insert; see Admit. `p` is untouched on a non-kOk verdict. On
+  /// kOk, `depth_after` (when non-null) receives the global depth right
+  /// after this insert's reservation — the submit path's stats recording
+  /// must not re-read the depth it already knew.
   Admit push(PendingRequest&& p, std::size_t* depth_after = nullptr);
 
-  /// Bypasses capacity and quota (requeue path); false when closed.
+  /// Re-inserts a request that already passed admission once (device-loss
+  /// requeue). Bypasses capacity and quota — the request must not be
+  /// silently lost to backpressure it already cleared — but respects
+  /// close: false means the queue is closed and the caller owns the
+  /// promise (shutdown path).
   bool readmit(PendingRequest&& p);
 
   /// Blocks until some shard holds a live entry or the queue is closed
@@ -135,10 +151,11 @@ class ShardedRequestQueue {
   /// every shard's notifier and after facade-side removals. Lock-free
   /// when no waiter is registered (the common case on the submit hot
   /// path): one seq_cst increment plus one seq_cst load. CB_EXCLUDES
-  /// documents the `shard.mu_ -> wait_mu_` lock order: notify() runs
-  /// *after* a shard releases its mutex (RequestQueue::notify_all is
-  /// itself CB_EXCLUDES(mu_)), and nothing ever takes a shard mutex
-  /// while holding wait_mu_.
+  /// documents the `shard.mu_ -> wait_mu_` lock order: an insert calls
+  /// notify() only after releasing its shard mutex (RequestQueue::notify
+  /// is itself CB_EXCLUDES(mu_)), an expiry callback may call it under
+  /// the shard lock (the same order), and nothing ever takes a shard
+  /// mutex while holding wait_mu_.
   void notify() CB_EXCLUDES(wait_mu_);
 
   /// Sleeps until the version moves past `seen` (or `deadline`, when
@@ -182,11 +199,11 @@ class ShardedRequestQueue {
   // taking a shard mutex (lock order: shard.mu_ -> wait_mu_, enforced by
   // the CB_EXCLUDES annotations on notify()/wait_version() — every
   // wait_mu_ acquisition happens with no shard lock held or after the
-  // shard released it inside notify_all).
+  // shard released it inside RequestQueue::notify).
   std::vector<std::unique_ptr<RequestQueue>> shards_;
   /// Per-shard insert-time depth maxima (see shard_max_depth). Lock-free
-  /// by design: monotone relaxed CAS raise; exact because readmit hands
-  /// out the post-insert depth it computed under the shard lock.
+  /// by design: monotone relaxed CAS raise; exact because the shard insert
+  /// hands out the post-insert depth it computed under the shard lock.
   std::vector<std::unique_ptr<std::atomic<std::size_t>>> shard_hwm_;
   const std::size_t capacity_;
 

@@ -114,7 +114,7 @@ struct StatsSnapshot {
   std::size_t max_queue_depth = 0;  ///< high-water mark
 
   /// Per-ingest-shard depths (at snapshot time) and high-water marks,
-  /// filled by the server/cluster from the sharded queue; empty for
+  /// filled by the cluster front door from the sharded queue; empty for
   /// consumers that never set them. Merged element-wise (sum).
   std::vector<std::size_t> shard_depths;
   std::vector<std::size_t> shard_max_depths;
@@ -122,7 +122,7 @@ struct StatsSnapshot {
   /// skew from the hash(model)+class shard rule. 0 when unset.
   double shard_imbalance = 0;
 
-  // Session-pool state (filled by the server).
+  // Session-pool state (filled by each device's engine).
   std::size_t plans_memoised = 0;
   std::uint64_t plan_misses_after_warm = 0;
   std::size_t workspace_buffers = 0;

@@ -12,10 +12,9 @@ ShardedRequestQueue::ShardedRequestQueue(std::size_t capacity,
   const std::size_t n = std::max<std::size_t>(1, shards);
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    // Each shard is sized to the *global* capacity so per-shard capacity
-    // never binds; the facade's reservation counters are the only
-    // capacity/quota authority.
-    auto q = std::make_unique<RequestQueue>(capacity);
+    // Shards hold no capacity of their own; the facade's reservation
+    // counters are the only capacity/quota authority.
+    auto q = std::make_unique<RequestQueue>();
     q->set_notifier([this] { notify(); });
     q->set_on_expired([this](std::size_t cls, std::size_t cnt) {
       note_removed(cls, cnt);
@@ -110,8 +109,7 @@ ShardedRequestQueue::Admit ShardedRequestQueue::push(PendingRequest&& p,
   // depth_ never overshoots capacity even transiently — depth() is a
   // documented invariant), check quota, undo on rejection. The first
   // rejection of either kind sweeps expired entries out of all shards and
-  // retries (matching the single-queue rule that dead occupants never cost
-  // live traffic a rejection).
+  // retries: dead occupants never cost live traffic a rejection.
   bool swept = false;
   for (;;) {
     std::size_t cur = depth_.load(std::memory_order_relaxed);
@@ -143,11 +141,10 @@ ShardedRequestQueue::Admit ShardedRequestQueue::push(PendingRequest&& p,
   }
   const std::size_t s = shard_of(p.request.model, cls);
   p.shard = static_cast<std::uint32_t>(s);
-  // readmit bypasses the shard's own capacity/quota (the facade already
-  // admitted this request) but respects close: the shard's closed bit is
-  // the submit-vs-stop authority, exactly as in the single-queue design.
+  // The shard insert respects close: the shard's closed bit is the
+  // submit-vs-stop authority.
   std::size_t shard_depth_after = 0;
-  if (!shards_[s]->readmit(std::move(p), &shard_depth_after)) {
+  if (!shards_[s]->insert(std::move(p), &shard_depth_after)) {
     unreserve(cls, /*reserved_quota=*/true);
     return Admit::kClosed;
   }
@@ -163,7 +160,7 @@ bool ShardedRequestQueue::readmit(PendingRequest&& p) {
   const std::size_t s = shard_of(p.request.model, cls);
   p.shard = static_cast<std::uint32_t>(s);
   std::size_t shard_depth_after = 0;
-  if (!shards_[s]->readmit(std::move(p), &shard_depth_after)) {
+  if (!shards_[s]->insert(std::move(p), &shard_depth_after)) {
     unreserve(cls, /*reserved_quota=*/true);
     return false;
   }
@@ -231,9 +228,8 @@ std::size_t ShardedRequestQueue::count_model_live(
 std::vector<PendingRequest> ShardedRequestQueue::collect(
     const std::string& model, std::size_t max_n, ServeTimePoint deadline) {
   const std::vector<std::size_t> candidates = candidate_shards(model);
-  // Phase 1: wait for a full group, the batch deadline, or close — the
-  // same trigger set as the single queue, but counting live entries
-  // across every shard the model can land on.
+  // Phase 1: wait for a full group, the batch deadline, or close,
+  // counting live entries across every shard the model can land on.
   for (;;) {
     const std::uint64_t seen = version_.load(std::memory_order_seq_cst);
     if (closed_.load(std::memory_order_seq_cst)) break;
@@ -255,10 +251,8 @@ std::vector<PendingRequest> ShardedRequestQueue::collect(
   std::vector<PendingRequest> out;
   for (const auto& [dl, s] : order) {
     if (out.size() >= max_n) break;
-    // Past deadline => the shard's collect gathers what it has right now
-    // without waiting again.
     std::vector<PendingRequest> chunk =
-        shards_[s]->collect(model, max_n - out.size(), ServeTimePoint::min());
+        shards_[s]->collect(model, max_n - out.size());
     for (PendingRequest& p : chunk) {
       note_removed(p.class_index, 1);
       out.push_back(std::move(p));

@@ -228,9 +228,35 @@ TEST(ClusterRouting, ComputeHeavyToDenseBandwidthBoundToHbm) {
 
 // --------------------------------------------------- serving pipeline ----
 
-TEST(Cluster, SingleRequestMatchesReference) {
+// A single-device server is a fleet of one. The pipeline and lifecycle
+// contracts below run over both fleet sizes: one V100 with one pending
+// group per worker (the serve CLI's shape) and the heterogeneous
+// three-device fleet.
+enum class Fleet { kOneDevice, kHetero };
+
+ClusterOptions one_device_options() {
+  DeviceConfig d = device_of(MachineSpec::v100(), /*workers=*/3);
+  d.replicas = 2;
+  d.max_pending_groups = d.workers;
+  ClusterOptions opts;
+  opts.devices = {d};
+  opts.max_queue = 512;
+  opts.max_delay = std::chrono::microseconds(500);
+  opts.batch_policy.max_bucket = 4;
+  return opts;
+}
+
+class FleetServe : public ::testing::TestWithParam<Fleet> {
+ protected:
+  ClusterOptions options() const {
+    return GetParam() == Fleet::kOneDevice ? one_device_options()
+                                           : hetero_options();
+  }
+};
+
+TEST_P(FleetServe, SingleRequestMatchesReference) {
   auto models = tiny_models();
-  ClusterServer cluster(models, hetero_options());
+  ClusterServer cluster(models, options());
   cluster.start();
 
   const Tensor4<float> input = make_request_input(models[1], 7);
@@ -238,18 +264,20 @@ TEST(Cluster, SingleRequestMatchesReference) {
   ASSERT_EQ(r.status, ServeStatus::kOk);
   EXPECT_GT(r.batch_size, 0);
   EXPECT_GT(r.batch_sim_seconds, 0);
-  EXPECT_TRUE(allclose(reference_run(models[1], input), r.output, 1e-3, 1e-3));
+  const Tensor4<float> expect = reference_run(models[1], input);
+  EXPECT_TRUE(allclose(expect, r.output, 1e-3, 1e-3))
+      << "maxdiff=" << max_abs_diff(expect, r.output);
   cluster.stop();
 }
 
-// The satellite stress test: N client threads x M models over a
-// heterogeneous 3-device fleet; every response must match the
-// single-threaded reference whichever device served it, and each device
-// must hold the zero-plan-miss / zero-workspace-growth steady state after
-// its warmup. Runs under ASan/UBSan in CI via the ctest glob.
-TEST(Cluster, MultiThreadedStressMatchesReferenceWithZeroPlanMisses) {
+// The stress test: N client threads x M models with randomized shapes;
+// every response must match the single-threaded reference whichever device
+// served it, and each device must hold the zero-plan-miss /
+// zero-workspace-growth steady state after its warmup. Runs under
+// ASan/UBSan and TSan in CI.
+TEST_P(FleetServe, MultiThreadedStressMatchesReferenceWithZeroPlanMisses) {
   auto models = tiny_models();
-  ClusterServer cluster(models, hetero_options());
+  ClusterServer cluster(models, options());
   cluster.start();
 
   const ClusterSnapshot warm = cluster.stats();
@@ -292,11 +320,11 @@ TEST(Cluster, MultiThreadedStressMatchesReferenceWithZeroPlanMisses) {
   std::uint64_t placements = 0;
   for (std::size_t i = 0; i < s.devices.size(); ++i) {
     const DeviceSnapshot& d = s.devices[i];
+    const StatsSnapshot& w = warm.devices[i].stats;
     EXPECT_EQ(d.stats.plan_misses_after_warm, 0u) << d.name;
-    EXPECT_EQ(d.stats.plans_memoised, warm.devices[i].stats.plans_memoised)
-        << d.name;
-    EXPECT_EQ(d.stats.workspace_bytes, warm.devices[i].stats.workspace_bytes)
-        << d.name;
+    EXPECT_EQ(d.stats.plans_memoised, w.plans_memoised) << d.name;
+    EXPECT_EQ(d.stats.workspace_buffers, w.workspace_buffers) << d.name;
+    EXPECT_EQ(d.stats.workspace_bytes, w.workspace_bytes) << d.name;
     placements += d.placements;
   }
   EXPECT_EQ(placements, s.fleet.batches);
@@ -310,6 +338,43 @@ TEST(Cluster, MultiThreadedStressMatchesReferenceWithZeroPlanMisses) {
   EXPECT_EQ(grouped, s.fleet.completed);
   cluster.stop();
 }
+
+TEST_P(FleetServe, LifecycleMisuseFailsLoudly) {
+  auto models = tiny_models();
+  const ClusterOptions opts = options();
+  {
+    ClusterServer cluster(models, opts);
+    EXPECT_THROW(cluster.fail_device(0), Error);  // before start
+    cluster.start();
+    EXPECT_THROW(cluster.start(), Error);              // double start
+    EXPECT_THROW(cluster.fail_device(99), Error);      // unknown device
+    EXPECT_THROW(cluster.revive_device(99, ReviveMode::kWarm), Error);
+    // Reviving a live device is a misuse, not a no-op.
+    EXPECT_THROW(cluster.revive_device(0, ReviveMode::kWarm), Error);
+    cluster.stop();
+    EXPECT_THROW(cluster.start(), Error);  // restart after stop
+  }
+  // Construction-time model validation: malformed models must fail the
+  // constructor, not crash warm() or a batch later.
+  ServedModel no_layers;
+  no_layers.name = "empty";
+  EXPECT_THROW(ClusterServer({no_layers}, opts), Error);
+
+  ServedModel mismatched = tiny_models()[0];
+  mismatched.weights.pop_back();
+  EXPECT_THROW(ClusterServer({mismatched}, opts), Error);
+
+  ServedModel unnamed = tiny_models()[0];
+  unnamed.name.clear();
+  EXPECT_THROW(ClusterServer({unnamed}, opts), Error);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fleets, FleetServe, ::testing::Values(Fleet::kOneDevice, Fleet::kHetero),
+    [](const ::testing::TestParamInfo<Fleet>& info) {
+      return std::string(info.param == Fleet::kOneDevice ? "OneDevice"
+                                                         : "Hetero");
+    });
 
 // ------------------------------------------------ backpressure & stop ----
 
@@ -673,29 +738,6 @@ TEST(Cluster, PlacementRacingFailNeverAbandonsRequests) {
   EXPECT_GT(served, 0u);
   EXPECT_GE(snap.device_failures, 1u);
   EXPECT_EQ(snap.device_failures, snap.device_revives);
-}
-
-// --------------------------------------------------- lifecycle guards ----
-
-TEST(Cluster, LifecycleMisuseFailsLoudly) {
-  auto models = tiny_models();
-  ClusterOptions opts = hetero_options();
-  {
-    ClusterServer cluster(models, opts);
-    EXPECT_THROW(cluster.fail_device(0), Error);  // before start
-    cluster.start();
-    EXPECT_THROW(cluster.start(), Error);              // double start
-    EXPECT_THROW(cluster.fail_device(99), Error);      // unknown device
-    EXPECT_THROW(cluster.revive_device(99, ReviveMode::kWarm), Error);
-    // Reviving a live device is a misuse, not a no-op.
-    EXPECT_THROW(cluster.revive_device(0, ReviveMode::kWarm), Error);
-    cluster.stop();
-    EXPECT_THROW(cluster.start(), Error);  // restart after stop
-  }
-  // Construction-time model validation fails the constructor loudly.
-  ServedModel no_layers;
-  no_layers.name = "empty";
-  EXPECT_THROW(ClusterServer({no_layers}, opts), Error);
 }
 
 // ------------------------------------------------------ fleet tenancy ----

@@ -14,10 +14,10 @@
 #include <thread>
 #include <vector>
 
+#include "convbound/cluster/cluster.hpp"
 #include "convbound/obs/trace.hpp"
 #include "convbound/serve/model.hpp"
 #include "convbound/serve/obs_export.hpp"
-#include "convbound/serve/server.hpp"
 #include "convbound/util/rng.hpp"
 
 namespace convbound {
@@ -349,17 +349,30 @@ ServedModel one_tiny_model() {
   return make_served_model("tiny", layers, {});
 }
 
+/// A one-device server with a single executor worker (one pending group,
+/// so groups form only once the worker is free).
+ClusterOptions one_worker_options() {
+  DeviceConfig d;
+  d.spec = MachineSpec::v100();
+  d.workers = 1;
+  d.replicas = 1;
+  d.max_pending_groups = 1;
+  ClusterOptions opts;
+  opts.devices = {d};
+  opts.max_queue = 256;
+  opts.batch_policy.max_bucket = 4;
+  return opts;
+}
+
 // A saturated 1-worker server: stage histograms must satisfy the exact
 // accounting identity sum(queue_wait) + sum(batch_delay) + sum(exec) ==
 // sum(latency), because the engine computes the stages from the very
 // timestamps the end-to-end latency uses.
 TEST(ObsServe, StageAccountingIdentity) {
   std::vector<ServedModel> models = {one_tiny_model()};
-  ServerOptions opts;
-  opts.workers = 1;
+  ClusterOptions opts = one_worker_options();
   opts.max_delay = std::chrono::microseconds(500);
-  opts.policy.max_bucket = 4;
-  InferenceServer server(models, opts);
+  ClusterServer server(models, opts);
   server.start();
 
   constexpr int kRequests = 48;
@@ -371,7 +384,7 @@ TEST(ObsServe, StageAccountingIdentity) {
   for (auto& f : futures)
     EXPECT_EQ(f.get().status, ServeStatus::kOk);
 
-  const StatsSnapshot s = server.stats();
+  const StatsSnapshot s = server.stats().fleet;
   server.stop();
 
   EXPECT_EQ(s.completed, static_cast<std::uint64_t>(kRequests));
@@ -400,10 +413,7 @@ TEST(ObsServe, TracedLoadIsCorrelated) {
   ObsRegistry::global().clear();
   ObsRegistry::set_enabled(true);
   std::vector<ServedModel> models = {one_tiny_model()};
-  ServerOptions opts;
-  opts.workers = 1;
-  opts.policy.max_bucket = 4;
-  InferenceServer server(models, opts);
+  ClusterServer server(models, one_worker_options());
   server.start();
   constexpr int kRequests = 16;
   std::vector<std::future<InferResponse>> futures;

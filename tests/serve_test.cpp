@@ -1,14 +1,18 @@
+// The single-device serving contract: bound-guided batch policy, tenancy,
+// and a server that is a fleet of one — the cluster front door with one
+// V100 whose pending cap equals its worker count, the serve CLI's shape.
+// The pipeline and lifecycle contracts shared with the heterogeneous fleet
+// run over both fleet sizes in cluster_test (FleetServe.*); the queue's
+// own contract is in sharded_queue_test.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <future>
 #include <thread>
 #include <vector>
 
+#include "convbound/cluster/cluster.hpp"
 #include "convbound/serve/batch_policy.hpp"
 #include "convbound/serve/model.hpp"
-#include "convbound/serve/queue.hpp"
-#include "convbound/serve/server.hpp"
 #include "convbound/util/rng.hpp"
 
 namespace convbound {
@@ -44,108 +48,20 @@ std::vector<ServedModel> tiny_models() {
   return models;
 }
 
-ServerOptions tiny_options() {
-  ServerOptions opts;
-  opts.machine = MachineSpec::v100();
-  opts.workers = 3;
-  opts.replicas = 2;
+/// One V100 with `workers` executor workers and one pending group per
+/// worker, so groups form only once a worker is free.
+ClusterOptions tiny_options(int workers = 3) {
+  DeviceConfig d;
+  d.spec = MachineSpec::v100();
+  d.workers = workers;
+  d.replicas = 2;
+  d.max_pending_groups = workers;
+  ClusterOptions opts;
+  opts.devices = {d};
   opts.max_queue = 512;
   opts.max_delay = std::chrono::microseconds(500);
-  opts.policy.max_bucket = 4;
+  opts.batch_policy.max_bucket = 4;
   return opts;
-}
-
-// ------------------------------------------------------ request queue ----
-
-TEST(RequestQueue, BoundedPushAndGroupCollect) {
-  RequestQueue q(2);
-  auto pending = [](const std::string& model) {
-    PendingRequest p;
-    p.request.model = model;
-    p.enqueued = ServeClock::now();
-    return p;
-  };
-  EXPECT_EQ(q.push(pending("a")), RequestQueue::Admit::kOk);
-  EXPECT_EQ(q.push(pending("b")), RequestQueue::Admit::kOk);
-  EXPECT_EQ(q.push(pending("a")),
-            RequestQueue::Admit::kFull);  // full -> backpressure
-  EXPECT_EQ(q.depth(), 2u);
-
-  std::string model;
-  ServeTimePoint enq;
-  ASSERT_TRUE(q.wait_front(&model, &enq));
-  EXPECT_EQ(model, "a");
-
-  // Collecting "a" must skip the interleaved "b" and return immediately
-  // once the deadline passes with only one matching entry.
-  auto group = q.collect("a", 4, ServeClock::now());
-  ASSERT_EQ(group.size(), 1u);
-  EXPECT_EQ(group[0].request.model, "a");
-  EXPECT_EQ(q.depth(), 1u);
-
-  q.close();
-  EXPECT_EQ(q.push(pending("c")), RequestQueue::Admit::kClosed);
-  auto rest = q.collect("b", 4, ServeTimePoint::max());  // closed: no wait
-  ASSERT_EQ(rest.size(), 1u);
-  ASSERT_FALSE(q.wait_front(&model, &enq));  // closed + drained
-}
-
-TEST(RequestQueue, ExpiredEntriesAreAnsweredAndFreeCapacity) {
-  // Regression: expired requests used to sit in the queue (consuming
-  // backpressure budget) until batch-collect time. The queue now answers
-  // them in wait_front/collect sweeps.
-  RequestQueue q(2);
-  std::size_t expired_reported = 0;
-  q.set_on_expired(
-      [&](std::size_t, std::size_t n) { expired_reported += n; });
-  const auto pending = [](const std::string& model, ServeTimePoint deadline) {
-    PendingRequest p;
-    p.request.model = model;
-    p.request.deadline = deadline;
-    p.enqueued = ServeClock::now();
-    return p;
-  };
-
-  PendingRequest dead = pending("a", ServeClock::now() - std::chrono::seconds(1));
-  std::future<InferResponse> dead_fut = dead.promise.get_future();
-  ASSERT_EQ(q.push(std::move(dead)), RequestQueue::Admit::kOk);
-  ASSERT_EQ(q.push(pending("b", ServeTimePoint::max())),
-            RequestQueue::Admit::kOk);
-
-  // A push at capacity sweeps dead occupants instead of charging live
-  // traffic a rejection: the dead entry is answered and "c" takes its slot.
-  EXPECT_EQ(q.push(pending("c", ServeTimePoint::max())),
-            RequestQueue::Admit::kOk);
-  ASSERT_EQ(dead_fut.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  const InferResponse r = dead_fut.get();
-  EXPECT_EQ(r.status, ServeStatus::kDeadlineExceeded);
-  EXPECT_GT(r.latency_seconds, 0);
-  EXPECT_EQ(expired_reported, 1u);
-  EXPECT_EQ(q.depth(), 2u);
-  // Genuinely full of live requests: backpressure stands.
-  EXPECT_EQ(q.push(pending("d", ServeTimePoint::max())),
-            RequestQueue::Admit::kFull);
-
-  // wait_front reports the *live* front (the dead "a" is long gone).
-  std::string model;
-  ServeTimePoint enq;
-  ASSERT_TRUE(q.wait_front(&model, &enq));
-  EXPECT_EQ(model, "b");
-
-  // collect sweeps too: a dead "b" never joins a "b" group.
-  PendingRequest dead_b =
-      pending("b", ServeClock::now() - std::chrono::seconds(1));
-  std::future<InferResponse> dead_b_fut = dead_b.promise.get_future();
-  q.drain();
-  ASSERT_EQ(q.push(std::move(dead_b)), RequestQueue::Admit::kOk);
-  ASSERT_EQ(q.push(pending("b", ServeTimePoint::max())),
-            RequestQueue::Admit::kOk);
-  const auto group = q.collect("b", 4, ServeClock::now());
-  ASSERT_EQ(group.size(), 1u);
-  EXPECT_EQ(group[0].request.deadline, ServeTimePoint::max());
-  EXPECT_EQ(dead_b_fut.get().status, ServeStatus::kDeadlineExceeded);
-  EXPECT_EQ(expired_reported, 2u);
 }
 
 // ------------------------------------------------------- batch policy ----
@@ -176,90 +92,13 @@ TEST(BatchPolicy, BoundGuidedBucketSitsAtTheKnee) {
             1);
 }
 
-// --------------------------------------------------- serving pipeline ----
-
-TEST(Serve, SingleRequestMatchesReference) {
-  auto models = tiny_models();
-  InferenceServer server(models, tiny_options());
-  server.start();
-
-  const Tensor4<float> input = make_request_input(models[1], 7);
-  auto fut = server.submit({models[1].name, input});
-  const InferResponse r = fut.get();
-  ASSERT_EQ(r.status, ServeStatus::kOk);
-  EXPECT_GT(r.batch_size, 0);
-  EXPECT_GT(r.batch_sim_seconds, 0);
-
-  const Tensor4<float> expect = reference_run(models[1], input);
-  EXPECT_TRUE(allclose(expect, r.output, 1e-3, 1e-3))
-      << "maxdiff=" << max_abs_diff(expect, r.output);
-  server.stop();
-}
-
-// The satellite stress test: N client threads x M models with randomized
-// shapes; every response must match the single-threaded reference, and
-// steady-state serving must hit zero plan-cache misses and zero workspace
-// growth after warmup.
-TEST(Serve, MultiThreadedStressMatchesReferenceWithZeroPlanMisses) {
-  auto models = tiny_models();
-  InferenceServer server(models, tiny_options());
-  server.start();
-
-  const StatsSnapshot warm = server.stats();
-  EXPECT_EQ(warm.plan_misses_after_warm, 0u);
-  EXPECT_GT(warm.plans_memoised, 0u);
-  EXPECT_GT(warm.workspace_buffers, 0u);
-
-  constexpr int kClients = 6;
-  constexpr int kPerClient = 12;
-  std::atomic<int> ok{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (int i = 0; i < kPerClient; ++i) {
-        const std::uint64_t seed = 1000u * c + i;
-        const ServedModel& m = models[(c + i) % models.size()];
-        const Tensor4<float> input = make_request_input(m, seed);
-        InferResponse r = server.submit({m.name, input}).get();
-        ASSERT_EQ(r.status, ServeStatus::kOk);
-        const Tensor4<float> expect = reference_run(m, input);
-        ASSERT_TRUE(allclose(expect, r.output, 1e-3, 1e-3))
-            << m.name << " seed=" << seed
-            << " maxdiff=" << max_abs_diff(expect, r.output);
-        ++ok;
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  EXPECT_EQ(ok.load(), kClients * kPerClient);
-
-  const StatsSnapshot s = server.stats();
-  EXPECT_EQ(s.completed, static_cast<std::uint64_t>(kClients * kPerClient));
-  EXPECT_EQ(s.rejected, 0u);
-  EXPECT_EQ(s.failed, 0u);
-  // Steady state: no planning, no workspace growth past warmup.
-  EXPECT_EQ(s.plan_misses_after_warm, 0u);
-  EXPECT_EQ(s.plans_memoised, warm.plans_memoised);
-  EXPECT_EQ(s.workspace_buffers, warm.workspace_buffers);
-  EXPECT_EQ(s.workspace_bytes, warm.workspace_bytes);
-  // Every completed request went through a micro-batch.
-  std::uint64_t grouped = 0;
-  for (const auto& [size, count] : s.batch_histogram) {
-    EXPECT_GE(size, 1);
-    EXPECT_LE(size, 4);  // max_bucket
-    grouped += static_cast<std::uint64_t>(size) * count;
-  }
-  EXPECT_EQ(grouped, s.completed);
-  server.stop();
-}
-
 // ------------------------------------------------ backpressure & stop ----
 
 TEST(Serve, BackpressureRejectsDeterministicallyBeforeStart) {
   auto models = tiny_models();
-  ServerOptions opts = tiny_options();
+  ClusterOptions opts = tiny_options();
   opts.max_queue = 2;
-  InferenceServer server(models, opts);
+  ClusterServer server(models, opts);
 
   // Not started: nothing drains the queue, so the third submit must be
   // rejected by the bounded queue.
@@ -272,7 +111,7 @@ TEST(Serve, BackpressureRejectsDeterministicallyBeforeStart) {
   server.start();  // now the two queued requests get served
   EXPECT_EQ(f1.get().status, ServeStatus::kOk);
   EXPECT_EQ(f2.get().status, ServeStatus::kOk);
-  const StatsSnapshot s = server.stats();
+  const StatsSnapshot s = server.stats().fleet;
   EXPECT_EQ(s.rejected, 1u);
   EXPECT_EQ(s.completed, 2u);
   server.stop();
@@ -284,7 +123,7 @@ TEST(Serve, BackpressureRejectsDeterministicallyBeforeStart) {
 
 TEST(Serve, ExpiredDeadlineIsDroppedNotExecuted) {
   auto models = tiny_models();
-  InferenceServer server(models, tiny_options());
+  ClusterServer server(models, tiny_options());
   const Tensor4<float> input = make_request_input(models[0], 3);
 
   InferRequest expired{models[0].name, input,
@@ -295,7 +134,7 @@ TEST(Serve, ExpiredDeadlineIsDroppedNotExecuted) {
 
   EXPECT_EQ(f1.get().status, ServeStatus::kDeadlineExceeded);
   EXPECT_EQ(f2.get().status, ServeStatus::kOk);
-  EXPECT_EQ(server.stats().expired, 1u);
+  EXPECT_EQ(server.stats().fleet.expired, 1u);
   server.stop();
 }
 
@@ -306,10 +145,9 @@ TEST(Serve, ExpiredSubmitUnderSaturationResolvesAndFreesQueueBudget) {
   // queue-level sweep must answer it and give the slot back to live
   // traffic.
   auto models = tiny_models();
-  ServerOptions opts = tiny_options();
-  opts.workers = 1;
+  ClusterOptions opts = tiny_options(/*workers=*/1);
   opts.max_queue = 64;
-  InferenceServer server(models, opts);
+  ClusterServer server(models, opts);
   server.start();
 
   const Tensor4<float> input = make_request_input(models[0], 5);
@@ -323,7 +161,7 @@ TEST(Serve, ExpiredSubmitUnderSaturationResolvesAndFreesQueueBudget) {
 
   EXPECT_EQ(dead.get().status, ServeStatus::kDeadlineExceeded);
   for (auto& f : live) EXPECT_EQ(f.get().status, ServeStatus::kOk);
-  const StatsSnapshot s = server.stats();
+  const StatsSnapshot s = server.stats().fleet;
   EXPECT_EQ(s.expired, 1u);
   EXPECT_EQ(s.completed, 48u);
   EXPECT_EQ(s.rejected, 0u);
@@ -378,7 +216,7 @@ TEST(BatchPolicy, FeasibilityChargesTheGroupFormationDelay) {
 
 TEST(Serve, RejectsMalformedRequests) {
   auto models = tiny_models();
-  InferenceServer server(models, tiny_options());
+  ClusterServer server(models, tiny_options());
   EXPECT_THROW(server.submit({"no-such-model", Tensor4<float>(1, 1, 1, 1)}),
                Error);
   Tensor4<float> wrong(1, models[0].input_c() + 1, models[0].input_h(),
@@ -390,153 +228,24 @@ TEST(Serve, RejectsMalformedRequests) {
 
 TEST(Serve, TunedPlanningSharesTheThreadSafeCache) {
   auto models = tiny_models();
-  ServerOptions opts = tiny_options();
+  ClusterOptions opts = tiny_options();
   opts.plan_mode = PlanMode::kTuned;
   opts.tune_budget = 4;
-  InferenceServer server(models, opts);
+  ClusterServer server(models, opts);
   // Warmup tunes through the one shared TuneCache; the second replica of
   // each (model, bucket) hits the entries the first replica autotuned.
   server.start();
-  EXPECT_GT(server.tune_cache().size(), 0u);
+  EXPECT_GT(server.device(0).engine().tune_cache().size(), 0u);
 
   const Tensor4<float> input = make_request_input(models[0], 11);
   InferResponse r = server.submit({models[0].name, input}).get();
   ASSERT_EQ(r.status, ServeStatus::kOk);
   EXPECT_TRUE(allclose(reference_run(models[0], input), r.output, 1e-3, 1e-3));
-  EXPECT_EQ(server.stats().plan_misses_after_warm, 0u);
+  EXPECT_EQ(server.stats().fleet.plan_misses_after_warm, 0u);
   server.stop();
 }
 
 // ------------------------------------------------- tenancy & admission ----
-
-TEST(RequestQueue, EdfOrdersByEffectiveDeadline) {
-  RequestQueue q(8);
-  const auto now = ServeClock::now();
-  const auto at = [&](int ms) { return now + std::chrono::milliseconds(ms); };
-  const auto pending = [&](const std::string& model, ServeTimePoint deadline,
-                           ServeTimePoint class_deadline, int arrival_ms) {
-    PendingRequest p;
-    p.request.model = model;
-    p.request.deadline = deadline;
-    p.class_deadline = class_deadline;
-    p.enqueued = at(arrival_ms);
-    return p;
-  };
-
-  // "far" arrives first with no deadline; "tight" arrives later but its
-  // class budget makes it more urgent — wait_front must surface it.
-  ASSERT_EQ(q.push(pending("far", ServeTimePoint::max(),
-                           ServeTimePoint::max(), 0)),
-            RequestQueue::Admit::kOk);
-  ASSERT_EQ(q.push(pending("tight", ServeTimePoint::max(),
-                           at(60'000), 1)),
-            RequestQueue::Admit::kOk);
-  std::string model;
-  ServeTimePoint enq;
-  ASSERT_TRUE(q.wait_front(&model, &enq));
-  EXPECT_EQ(model, "tight");
-
-  // Within one model, collect returns most-urgent-first on the effective
-  // deadline (min of explicit deadline and class budget), not FIFO.
-  ASSERT_EQ(q.push(pending("x", at(90'000), ServeTimePoint::max(), 2)),
-            RequestQueue::Admit::kOk);
-  ASSERT_EQ(q.push(pending("x", ServeTimePoint::max(), at(30'000), 3)),
-            RequestQueue::Admit::kOk);
-  ASSERT_EQ(q.push(pending("x", at(70'000), at(50'000), 4)),
-            RequestQueue::Admit::kOk);
-  const auto group = q.collect("x", 2, ServeClock::now());
-  ASSERT_EQ(group.size(), 2u);
-  EXPECT_EQ(group[0].effective_deadline(), at(30'000));
-  EXPECT_EQ(group[1].effective_deadline(), at(50'000));
-  EXPECT_EQ(q.depth(), 3u);  // far, tight, and the 90s "x" stay queued
-}
-
-TEST(RequestQueue, EdfFifoTieOrderSurvivesOrderedMapStore) {
-  // Pin the ordering contract across the data-structure swap (deque +
-  // O(n) most-urgent scan -> map sorted on (effective_deadline, enqueued,
-  // seq)): identical effective deadlines fall back to arrival order, and
-  // identical arrivals fall back to insertion order — plain FIFO for
-  // deadline-free traffic.
-  RequestQueue q(16);
-  const auto now = ServeClock::now();
-  const auto at = [&](int ms) { return now + std::chrono::milliseconds(ms); };
-  const auto pending = [&](ServeTimePoint deadline, ServeTimePoint enqueued,
-                           int tag) {
-    PendingRequest p;
-    p.request.model = "m";
-    p.request.deadline = deadline;
-    p.enqueued = enqueued;
-    p.request.tenant = "t" + std::to_string(tag);  // identifies the entry
-    return p;
-  };
-
-  // Same deadline, different arrivals (pushed out of arrival order).
-  ASSERT_EQ(q.push(pending(at(60'000), at(2), 1)), RequestQueue::Admit::kOk);
-  ASSERT_EQ(q.push(pending(at(60'000), at(1), 0)), RequestQueue::Admit::kOk);
-  // No deadline at all, identical arrival timestamps: insertion order.
-  ASSERT_EQ(q.push(pending(ServeTimePoint::max(), at(3), 2)),
-            RequestQueue::Admit::kOk);
-  ASSERT_EQ(q.push(pending(ServeTimePoint::max(), at(3), 3)),
-            RequestQueue::Admit::kOk);
-  // A later-pushed but more urgent deadline still jumps the whole line.
-  ASSERT_EQ(q.push(pending(at(30'000), at(4), 4)), RequestQueue::Admit::kOk);
-
-  const auto group = q.collect("m", 5, ServeClock::now());
-  ASSERT_EQ(group.size(), 5u);
-  EXPECT_EQ(group[0].request.tenant, "t4");  // EDF first
-  EXPECT_EQ(group[1].request.tenant, "t0");  // tie -> earlier arrival
-  EXPECT_EQ(group[2].request.tenant, "t1");
-  EXPECT_EQ(group[3].request.tenant, "t2");  // tie on arrival -> insertion
-  EXPECT_EQ(group[4].request.tenant, "t3");
-}
-
-TEST(RequestQueue, PushReportsPostInsertDepth) {
-  // Satellite fix for the submit double-lock: the depth the stats need
-  // comes out of push under the same lock as the insert.
-  RequestQueue q(4);
-  std::size_t depth_after = 0;
-  for (std::size_t i = 0; i < 3; ++i) {
-    PendingRequest p;
-    p.request.model = "m";
-    p.enqueued = ServeClock::now();
-    ASSERT_EQ(q.push(std::move(p), &depth_after), RequestQueue::Admit::kOk);
-    EXPECT_EQ(depth_after, i + 1);
-    EXPECT_EQ(q.depth(), depth_after);
-  }
-}
-
-TEST(RequestQueue, WeightedFairQuotaBindsOnlyAboveCongestion) {
-  // capacity 8, paid:free weights 3:1 -> shares 6 and 2; congestion 0.5
-  // -> quotas bind once 4 entries are queued.
-  const TenantTable table({TenantClass{"paid", 0, 3.0},
-                           TenantClass{"free", 0, 1.0}});
-  RequestQueue q(8);
-  q.set_tenancy(&table, 0.5);
-  const auto pending = [&](const std::string& cls) {
-    PendingRequest p;
-    p.request.model = "m";
-    p.class_index = table.resolve(cls);
-    p.tenant_class = cls;
-    p.enqueued = ServeClock::now();
-    return p;
-  };
-
-  // Work-conserving below the threshold: free fills past its share of 2.
-  for (int i = 0; i < 4; ++i)
-    ASSERT_EQ(q.push(pending("free")), RequestQueue::Admit::kOk) << i;
-  // At the threshold the over-share class is cut off...
-  EXPECT_EQ(q.push(pending("free")), RequestQueue::Admit::kQuota);
-  EXPECT_EQ(q.class_depth(table.resolve("free")), 4u);
-  // ...while the under-share class still has protected headroom.
-  for (int i = 0; i < 4; ++i)
-    ASSERT_EQ(q.push(pending("paid")), RequestQueue::Admit::kOk) << i;
-  // Genuinely full now: capacity, not quota, rejects either class.
-  EXPECT_EQ(q.push(pending("paid")), RequestQueue::Admit::kFull);
-  EXPECT_EQ(q.push(pending("free")), RequestQueue::Admit::kFull);
-
-  q.close();
-  for (auto& p : q.drain()) p.promise.set_value(InferResponse{});
-}
 
 TEST(TenantTable, ResolvesNamesAndValidatesConfig) {
   const TenantTable table({TenantClass{"paid", 0.5, 3.0},
@@ -567,11 +276,11 @@ TEST(TenantTable, ResolvesNamesAndValidatesConfig) {
 
 TEST(Serve, TenantClassesGetPerClassStatsAndQuotaStatus) {
   auto models = tiny_models();
-  ServerOptions opts = tiny_options();
+  ClusterOptions opts = tiny_options();
   opts.max_queue = 8;
   opts.admission_congestion = 0.5;
   opts.classes = {TenantClass{"paid", 0, 3.0}, TenantClass{"free", 0, 1.0}};
-  InferenceServer server(models, opts);
+  ClusterServer server(models, opts);
 
   // Not started: nothing drains, so admission outcomes are deterministic.
   const Tensor4<float> input = make_request_input(models[0], 7);
@@ -596,7 +305,7 @@ TEST(Serve, TenantClassesGetPerClassStatsAndQuotaStatus) {
     EXPECT_EQ(free_futs[i].get().status, ServeStatus::kOk);
     EXPECT_EQ(paid_futs[i].get().status, ServeStatus::kOk);
   }
-  const StatsSnapshot s = server.stats();
+  const StatsSnapshot s = server.stats().fleet;
   EXPECT_EQ(s.quota_rejected, 1u);
   ASSERT_TRUE(s.classes.count("paid"));
   ASSERT_TRUE(s.classes.count("free"));
@@ -610,12 +319,12 @@ TEST(Serve, TenantClassesGetPerClassStatsAndQuotaStatus) {
 
 TEST(Serve, ClassLatencyBudgetExpiresUnservedRequests) {
   auto models = tiny_models();
-  ServerOptions opts = tiny_options();
+  ClusterOptions opts = tiny_options();
   // A 1ms class budget on a not-yet-started server: the queued request's
   // effective deadline passes long before start() could serve it.
   opts.classes = {TenantClass{"default", 0, 1.0},
                   TenantClass{"impatient", 0.001, 1.0}};
-  InferenceServer server(models, opts);
+  ClusterServer server(models, opts);
   const Tensor4<float> input = make_request_input(models[0], 9);
 
   InferRequest tight{models[0].name, input};
@@ -627,144 +336,11 @@ TEST(Serve, ClassLatencyBudgetExpiresUnservedRequests) {
   server.start();
   EXPECT_EQ(f_tight.get().status, ServeStatus::kDeadlineExceeded);
   EXPECT_EQ(f_ok.get().status, ServeStatus::kOk);
-  const StatsSnapshot s = server.stats();
+  const StatsSnapshot s = server.stats().fleet;
   EXPECT_EQ(s.expired, 1u);
   ASSERT_TRUE(s.classes.count("impatient"));
   EXPECT_EQ(s.classes.at("impatient").expired, 1u);
   server.stop();
-}
-
-// --------------------------------------------------- lifecycle guards ----
-
-TEST(Serve, LifecycleMisuseFailsLoudly) {
-  auto models = tiny_models();
-  InferenceServer server(models, tiny_options());
-  server.start();
-  EXPECT_THROW(server.start(), Error);  // double start
-  server.stop();
-  EXPECT_THROW(server.start(), Error);  // restart after stop
-
-  // Construction-time model validation: malformed models must fail the
-  // constructor, not crash warm() or a batch later.
-  ServedModel no_layers;
-  no_layers.name = "empty";
-  EXPECT_THROW(InferenceServer({no_layers}, tiny_options()), Error);
-
-  ServedModel mismatched = tiny_models()[0];
-  mismatched.weights.pop_back();
-  EXPECT_THROW(InferenceServer({mismatched}, tiny_options()), Error);
-
-  ServedModel unnamed = tiny_models()[0];
-  unnamed.name.clear();
-  EXPECT_THROW(InferenceServer({unnamed}, tiny_options()), Error);
-}
-
-// ------------------------------------- expiry/close interleaving stress ----
-
-TEST(RequestQueue, ExpiryCloseInterleavingStressCompletesEveryRequestOnce) {
-  // Many producers push a mix of already-expired, soon-expiring, and
-  // immortal requests while a consumer collects and a sweeper polls
-  // wait_front; close() lands mid-stream. Every future must resolve exactly
-  // once (a double completion would throw std::future_error inside the
-  // queue) and the depth watermark must never exceed capacity.
-  constexpr int kProducers = 8;
-  constexpr int kPerProducer = 200;
-  constexpr std::size_t kCapacity = 64;
-  RequestQueue q(kCapacity);
-  std::atomic<std::size_t> expired_reported{0};
-  q.set_on_expired([&](std::size_t, std::size_t n) { expired_reported += n; });
-
-  std::vector<std::future<InferResponse>> futs(
-      static_cast<std::size_t>(kProducers * kPerProducer));
-  std::atomic<std::size_t> accepted{0};
-  std::atomic<bool> consumer_stop{false};
-
-  std::thread consumer([&] {
-    std::string model;
-    ServeTimePoint enq;
-    while (!consumer_stop.load()) {
-      // Collect whatever model sits at the EDF front; the short deadline
-      // keeps the consumer responsive to close().
-      if (!q.wait_front(&model, &enq)) return;  // closed + drained
-      for (auto& p : q.collect(model, 4,
-                               ServeClock::now() +
-                                   std::chrono::microseconds(200))) {
-        InferResponse r;
-        r.status = ServeStatus::kOk;
-        p.promise.set_value(std::move(r));
-      }
-    }
-  });
-
-  std::vector<std::thread> producers;
-  for (int t = 0; t < kProducers; ++t) {
-    producers.emplace_back([&, t] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        PendingRequest p;
-        p.request.model = "m" + std::to_string(i % 3);
-        const int kind = (t + i) % 3;
-        if (kind == 0)
-          p.request.deadline = ServeClock::now() - std::chrono::seconds(1);
-        else if (kind == 1)
-          p.request.deadline =
-              ServeClock::now() + std::chrono::microseconds(50 * (i % 7));
-        p.enqueued = ServeClock::now();
-        const std::size_t slot =
-            static_cast<std::size_t>(t * kPerProducer + i);
-        futs[slot] = p.promise.get_future();
-        switch (q.push(std::move(p))) {
-          case RequestQueue::Admit::kOk:
-            ++accepted;
-            break;
-          case RequestQueue::Admit::kFull:
-          case RequestQueue::Admit::kQuota:
-          case RequestQueue::Admit::kClosed: {
-            InferResponse r;
-            r.status = ServeStatus::kRejected;
-            p.promise.set_value(std::move(r));
-            break;
-          }
-        }
-        EXPECT_LE(q.depth(), kCapacity);
-      }
-    });
-  }
-  // Close mid-stream: producers racing the close must get kClosed (their
-  // own completion), never a hang or a double-set.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  for (auto& t : producers) t.join();
-  consumer_stop = true;
-  consumer.join();
-
-  // The queue is closed; whatever remains resolves via drain (the server's
-  // shutdown path).
-  std::size_t drained = 0;
-  for (auto& p : q.drain()) {
-    InferResponse r;
-    r.status = ServeStatus::kShutdown;
-    p.promise.set_value(std::move(r));
-    ++drained;
-  }
-
-  std::size_t ok = 0, rejected = 0, expired = 0, shutdown = 0;
-  for (auto& f : futs) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
-              std::future_status::ready);
-    switch (f.get().status) {
-      case ServeStatus::kOk: ++ok; break;
-      case ServeStatus::kRejected: ++rejected; break;
-      case ServeStatus::kDeadlineExceeded: ++expired; break;
-      case ServeStatus::kShutdown: ++shutdown; break;
-      default: FAIL() << "unexpected status";
-    }
-  }
-  // Conservation: every request resolved with exactly one of the four
-  // outcomes, and the queue-reported expiry count matches the futures.
-  EXPECT_EQ(ok + rejected + expired + shutdown, futs.size());
-  EXPECT_EQ(accepted.load(), ok + expired + drained);
-  EXPECT_EQ(expired_reported.load(), expired);
-  EXPECT_EQ(shutdown, drained);
 }
 
 }  // namespace

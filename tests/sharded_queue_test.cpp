@@ -1,8 +1,12 @@
-// ShardedRequestQueue: the sharded front door must preserve the single
-// queue's contract — Admit verdicts, strict global capacity, weighted-fair
-// quota summed across shards, queue-owned expiry, close/drain semantics —
-// while ordering is approximate-global-EDF (exact within a shard;
-// wait_front names the true global minimum at scan time).
+// ShardedRequestQueue, the serving stack's only admission authority.
+//
+// SingleShardQueue.* pin the queue contract on one shard — the exact
+// single-queue case: Admit verdicts, bounded capacity, weighted-fair quota,
+// exact EDF order, queue-owned expiry, close/drain semantics.
+// ShardedQueue.* pin what sharding must preserve of it — strict global
+// capacity, quota summed across shards — while ordering becomes
+// approximate-global-EDF (exact within a shard; wait_front names the true
+// global minimum at scan time).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +20,8 @@
 
 namespace convbound {
 namespace {
+
+using Admit = ShardedRequestQueue::Admit;
 
 PendingRequest pending(const std::string& model,
                        ServeTimePoint deadline = ServeTimePoint::max(),
@@ -49,12 +55,12 @@ TEST(ShardedQueue, PreservesAdmitContractWithGlobalCapacity) {
   std::size_t depth_after = 0;
   for (std::size_t i = 0; i < 4; ++i) {
     ASSERT_EQ(q.push(pending("m" + std::to_string(i)), &depth_after),
-              RequestQueue::Admit::kOk);
+              Admit::kOk);
     // Satellite fix: the post-insert depth comes out of push itself (the
     // old submit path re-locked the queue via depth()).
     EXPECT_EQ(depth_after, i + 1);
   }
-  EXPECT_EQ(q.push(pending("m0")), RequestQueue::Admit::kFull);
+  EXPECT_EQ(q.push(pending("m0")), Admit::kFull);
   EXPECT_EQ(q.depth(), 4u);
 
   // Collect each model back; the facade routes to the candidate shards.
@@ -65,7 +71,7 @@ TEST(ShardedQueue, PreservesAdmitContractWithGlobalCapacity) {
   EXPECT_EQ(q.depth(), 0u);
 
   q.close();
-  EXPECT_EQ(q.push(pending("m0")), RequestQueue::Admit::kClosed);
+  EXPECT_EQ(q.push(pending("m0")), Admit::kClosed);
   std::string model;
   ServeTimePoint enq;
   EXPECT_FALSE(q.wait_front(&model, &enq));  // closed + drained
@@ -87,20 +93,20 @@ TEST(ShardedQueue, WeightedFairQuotaSumsAcrossShards) {
   for (int i = 0; i < 4; ++i)
     ASSERT_EQ(q.push(pending("m" + std::to_string(i), ServeTimePoint::max(),
                              free_cls)),
-              RequestQueue::Admit::kOk)
+              Admit::kOk)
         << i;
   EXPECT_EQ(q.push(pending("m4", ServeTimePoint::max(), free_cls)),
-            RequestQueue::Admit::kQuota);
+            Admit::kQuota);
   EXPECT_EQ(q.class_depth(free_cls), 4u);
   for (int i = 0; i < 4; ++i)
     ASSERT_EQ(q.push(pending("m" + std::to_string(i), ServeTimePoint::max(),
                              paid)),
-              RequestQueue::Admit::kOk)
+              Admit::kOk)
         << i;
   EXPECT_EQ(q.push(pending("m0", ServeTimePoint::max(), paid)),
-            RequestQueue::Admit::kFull);
+            Admit::kFull);
   EXPECT_EQ(q.push(pending("m0", ServeTimePoint::max(), free_cls)),
-            RequestQueue::Admit::kFull);
+            Admit::kFull);
   EXPECT_EQ(q.class_depth(paid), 4u);
 
   q.close();
@@ -118,8 +124,8 @@ TEST(ShardedQueue, ApproximateGlobalEdfPinsTheBound) {
   const auto at = [&](int ms) { return now + std::chrono::milliseconds(ms); };
 
   // A less urgent entry on a's shard, a more urgent one on b's shard.
-  ASSERT_EQ(q.push(pending(a, at(100'000))), RequestQueue::Admit::kOk);
-  ASSERT_EQ(q.push(pending(b, at(10'000))), RequestQueue::Admit::kOk);
+  ASSERT_EQ(q.push(pending(a, at(100'000))), Admit::kOk);
+  ASSERT_EQ(q.push(pending(b, at(10'000))), Admit::kOk);
 
   // Exact half of the guarantee: wait_front reports the true global
   // minimum at scan time — the cross-shard head scan found b.
@@ -139,8 +145,8 @@ TEST(ShardedQueue, ApproximateGlobalEdfPinsTheBound) {
 
   // Within a shard EDF stays exact, with FIFO tie-break on arrival: three
   // same-model entries come back deadline-ordered regardless of push order.
-  ASSERT_EQ(q.push(pending(b, at(90'000))), RequestQueue::Admit::kOk);
-  ASSERT_EQ(q.push(pending(b, at(30'000))), RequestQueue::Admit::kOk);
+  ASSERT_EQ(q.push(pending(b, at(90'000))), Admit::kOk);
+  ASSERT_EQ(q.push(pending(b, at(30'000))), Admit::kOk);
   auto group = q.collect(b, 3, ServeClock::now());
   ASSERT_EQ(group.size(), 3u);
   EXPECT_EQ(group[0].effective_deadline(), at(10'000));
@@ -150,8 +156,8 @@ TEST(ShardedQueue, ApproximateGlobalEdfPinsTheBound) {
   // shards = 1 degenerates to the exact single-queue global EDF: the
   // facade's head scan has one head, so no inversion is possible.
   ShardedRequestQueue single(16, 1);
-  ASSERT_EQ(single.push(pending(a, at(100'000))), RequestQueue::Admit::kOk);
-  ASSERT_EQ(single.push(pending(b, at(10'000))), RequestQueue::Admit::kOk);
+  ASSERT_EQ(single.push(pending(a, at(100'000))), Admit::kOk);
+  ASSERT_EQ(single.push(pending(b, at(10'000))), Admit::kOk);
   ASSERT_TRUE(single.wait_front(&model, &enq));
   EXPECT_EQ(model, b);
   for (auto& p : single.drain()) p.promise.set_value(InferResponse{});
@@ -165,17 +171,17 @@ TEST(ShardedQueue, QueueOwnedExpiryFreesGlobalCapacity) {
   PendingRequest dead =
       pending("a", ServeClock::now() - std::chrono::seconds(1));
   std::future<InferResponse> dead_fut = dead.promise.get_future();
-  ASSERT_EQ(q.push(std::move(dead)), RequestQueue::Admit::kOk);
-  ASSERT_EQ(q.push(pending("b")), RequestQueue::Admit::kOk);
+  ASSERT_EQ(q.push(std::move(dead)), Admit::kOk);
+  ASSERT_EQ(q.push(pending("b")), Admit::kOk);
   // At capacity with a dead occupant: the facade sweeps every shard before
   // letting the rejection stand, so "c" takes the dead entry's slot.
-  EXPECT_EQ(q.push(pending("c")), RequestQueue::Admit::kOk);
+  EXPECT_EQ(q.push(pending("c")), Admit::kOk);
   ASSERT_EQ(dead_fut.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   EXPECT_EQ(dead_fut.get().status, ServeStatus::kDeadlineExceeded);
   EXPECT_EQ(expired_reported.load(), 1u);
   EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(q.push(pending("d")), RequestQueue::Admit::kFull);
+  EXPECT_EQ(q.push(pending("d")), Admit::kFull);
 
   q.close();
   for (auto& p : q.drain()) p.promise.set_value(InferResponse{});
@@ -241,12 +247,12 @@ TEST(ShardedQueue, MultiProducerMultiCollectorStressConservesEveryFuture) {
             static_cast<std::size_t>(t * kPerProducer + i);
         futs[slot] = p.promise.get_future();
         switch (q.push(std::move(p))) {
-          case RequestQueue::Admit::kOk:
+          case Admit::kOk:
             ++accepted;
             break;
-          case RequestQueue::Admit::kFull:
-          case RequestQueue::Admit::kQuota:
-          case RequestQueue::Admit::kClosed: {
+          case Admit::kFull:
+          case Admit::kQuota:
+          case Admit::kClosed: {
             InferResponse r;
             r.status = ServeStatus::kRejected;
             p.promise.set_value(std::move(r));
@@ -300,6 +306,334 @@ TEST(ShardedQueue, MultiProducerMultiCollectorStressConservesEveryFuture) {
   for (std::size_t s = 0; s < q.num_shards(); ++s)
     shard_total += q.shard_depth(s);
   EXPECT_EQ(shard_total, 0u);
+}
+
+// ---------------------------------------------- one shard: the exact queue ----
+
+TEST(SingleShardQueue, BoundedPushAndGroupCollect) {
+  ShardedRequestQueue q(2, 1);
+  auto pending = [](const std::string& model) {
+    PendingRequest p;
+    p.request.model = model;
+    p.enqueued = ServeClock::now();
+    return p;
+  };
+  EXPECT_EQ(q.push(pending("a")), Admit::kOk);
+  EXPECT_EQ(q.push(pending("b")), Admit::kOk);
+  EXPECT_EQ(q.push(pending("a")),
+            Admit::kFull);  // full -> backpressure
+  EXPECT_EQ(q.depth(), 2u);
+
+  std::string model;
+  ServeTimePoint enq;
+  ASSERT_TRUE(q.wait_front(&model, &enq));
+  EXPECT_EQ(model, "a");
+
+  // Collecting "a" must skip the interleaved "b" and return immediately
+  // once the deadline passes with only one matching entry.
+  auto group = q.collect("a", 4, ServeClock::now());
+  ASSERT_EQ(group.size(), 1u);
+  EXPECT_EQ(group[0].request.model, "a");
+  EXPECT_EQ(q.depth(), 1u);
+
+  q.close();
+  EXPECT_EQ(q.push(pending("c")), Admit::kClosed);
+  auto rest = q.collect("b", 4, ServeTimePoint::max());  // closed: no wait
+  ASSERT_EQ(rest.size(), 1u);
+  ASSERT_FALSE(q.wait_front(&model, &enq));  // closed + drained
+}
+
+TEST(SingleShardQueue, ExpiredEntriesAreAnsweredAndFreeCapacity) {
+  // Regression: expired requests used to sit in the queue (consuming
+  // backpressure budget) until batch-collect time. The queue now answers
+  // them in wait_front/collect sweeps.
+  ShardedRequestQueue q(2, 1);
+  std::size_t expired_reported = 0;
+  q.set_on_expired(
+      [&](std::size_t, std::size_t n) { expired_reported += n; });
+  const auto pending = [](const std::string& model, ServeTimePoint deadline) {
+    PendingRequest p;
+    p.request.model = model;
+    p.request.deadline = deadline;
+    p.enqueued = ServeClock::now();
+    return p;
+  };
+
+  PendingRequest dead = pending("a", ServeClock::now() - std::chrono::seconds(1));
+  std::future<InferResponse> dead_fut = dead.promise.get_future();
+  ASSERT_EQ(q.push(std::move(dead)), Admit::kOk);
+  ASSERT_EQ(q.push(pending("b", ServeTimePoint::max())),
+            Admit::kOk);
+
+  // A push at capacity sweeps dead occupants instead of charging live
+  // traffic a rejection: the dead entry is answered and "c" takes its slot.
+  EXPECT_EQ(q.push(pending("c", ServeTimePoint::max())),
+            Admit::kOk);
+  ASSERT_EQ(dead_fut.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  const InferResponse r = dead_fut.get();
+  EXPECT_EQ(r.status, ServeStatus::kDeadlineExceeded);
+  EXPECT_GT(r.latency_seconds, 0);
+  EXPECT_EQ(expired_reported, 1u);
+  EXPECT_EQ(q.depth(), 2u);
+  // Genuinely full of live requests: backpressure stands.
+  EXPECT_EQ(q.push(pending("d", ServeTimePoint::max())),
+            Admit::kFull);
+
+  // wait_front reports the *live* front (the dead "a" is long gone).
+  std::string model;
+  ServeTimePoint enq;
+  ASSERT_TRUE(q.wait_front(&model, &enq));
+  EXPECT_EQ(model, "b");
+
+  // collect sweeps too: a dead "b" never joins a "b" group.
+  PendingRequest dead_b =
+      pending("b", ServeClock::now() - std::chrono::seconds(1));
+  std::future<InferResponse> dead_b_fut = dead_b.promise.get_future();
+  q.drain();
+  ASSERT_EQ(q.push(std::move(dead_b)), Admit::kOk);
+  ASSERT_EQ(q.push(pending("b", ServeTimePoint::max())),
+            Admit::kOk);
+  const auto group = q.collect("b", 4, ServeClock::now());
+  ASSERT_EQ(group.size(), 1u);
+  EXPECT_EQ(group[0].request.deadline, ServeTimePoint::max());
+  EXPECT_EQ(dead_b_fut.get().status, ServeStatus::kDeadlineExceeded);
+  EXPECT_EQ(expired_reported, 2u);
+}
+
+TEST(SingleShardQueue, EdfOrdersByEffectiveDeadline) {
+  ShardedRequestQueue q(8, 1);
+  const auto now = ServeClock::now();
+  const auto at = [&](int ms) { return now + std::chrono::milliseconds(ms); };
+  const auto pending = [&](const std::string& model, ServeTimePoint deadline,
+                           ServeTimePoint class_deadline, int arrival_ms) {
+    PendingRequest p;
+    p.request.model = model;
+    p.request.deadline = deadline;
+    p.class_deadline = class_deadline;
+    p.enqueued = at(arrival_ms);
+    return p;
+  };
+
+  // "far" arrives first with no deadline; "tight" arrives later but its
+  // class budget makes it more urgent — wait_front must surface it.
+  ASSERT_EQ(q.push(pending("far", ServeTimePoint::max(),
+                           ServeTimePoint::max(), 0)),
+            Admit::kOk);
+  ASSERT_EQ(q.push(pending("tight", ServeTimePoint::max(),
+                           at(60'000), 1)),
+            Admit::kOk);
+  std::string model;
+  ServeTimePoint enq;
+  ASSERT_TRUE(q.wait_front(&model, &enq));
+  EXPECT_EQ(model, "tight");
+
+  // Within one model, collect returns most-urgent-first on the effective
+  // deadline (min of explicit deadline and class budget), not FIFO.
+  ASSERT_EQ(q.push(pending("x", at(90'000), ServeTimePoint::max(), 2)),
+            Admit::kOk);
+  ASSERT_EQ(q.push(pending("x", ServeTimePoint::max(), at(30'000), 3)),
+            Admit::kOk);
+  ASSERT_EQ(q.push(pending("x", at(70'000), at(50'000), 4)),
+            Admit::kOk);
+  const auto group = q.collect("x", 2, ServeClock::now());
+  ASSERT_EQ(group.size(), 2u);
+  EXPECT_EQ(group[0].effective_deadline(), at(30'000));
+  EXPECT_EQ(group[1].effective_deadline(), at(50'000));
+  EXPECT_EQ(q.depth(), 3u);  // far, tight, and the 90s "x" stay queued
+}
+
+TEST(SingleShardQueue, EdfFifoTieOrderSurvivesOrderedMapStore) {
+  // Pin the ordering contract across the data-structure swap (deque +
+  // O(n) most-urgent scan -> map sorted on (effective_deadline, enqueued,
+  // seq)): identical effective deadlines fall back to arrival order, and
+  // identical arrivals fall back to insertion order — plain FIFO for
+  // deadline-free traffic.
+  ShardedRequestQueue q(16, 1);
+  const auto now = ServeClock::now();
+  const auto at = [&](int ms) { return now + std::chrono::milliseconds(ms); };
+  const auto pending = [&](ServeTimePoint deadline, ServeTimePoint enqueued,
+                           int tag) {
+    PendingRequest p;
+    p.request.model = "m";
+    p.request.deadline = deadline;
+    p.enqueued = enqueued;
+    p.request.tenant = "t" + std::to_string(tag);  // identifies the entry
+    return p;
+  };
+
+  // Same deadline, different arrivals (pushed out of arrival order).
+  ASSERT_EQ(q.push(pending(at(60'000), at(2), 1)), Admit::kOk);
+  ASSERT_EQ(q.push(pending(at(60'000), at(1), 0)), Admit::kOk);
+  // No deadline at all, identical arrival timestamps: insertion order.
+  ASSERT_EQ(q.push(pending(ServeTimePoint::max(), at(3), 2)),
+            Admit::kOk);
+  ASSERT_EQ(q.push(pending(ServeTimePoint::max(), at(3), 3)),
+            Admit::kOk);
+  // A later-pushed but more urgent deadline still jumps the whole line.
+  ASSERT_EQ(q.push(pending(at(30'000), at(4), 4)), Admit::kOk);
+
+  const auto group = q.collect("m", 5, ServeClock::now());
+  ASSERT_EQ(group.size(), 5u);
+  EXPECT_EQ(group[0].request.tenant, "t4");  // EDF first
+  EXPECT_EQ(group[1].request.tenant, "t0");  // tie -> earlier arrival
+  EXPECT_EQ(group[2].request.tenant, "t1");
+  EXPECT_EQ(group[3].request.tenant, "t2");  // tie on arrival -> insertion
+  EXPECT_EQ(group[4].request.tenant, "t3");
+}
+
+TEST(SingleShardQueue, PushReportsPostInsertDepth) {
+  // The depth the submit path's stats need comes out of push itself, so
+  // recording it never re-reads the queue.
+  ShardedRequestQueue q(4, 1);
+  std::size_t depth_after = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    PendingRequest p;
+    p.request.model = "m";
+    p.enqueued = ServeClock::now();
+    ASSERT_EQ(q.push(std::move(p), &depth_after), Admit::kOk);
+    EXPECT_EQ(depth_after, i + 1);
+    EXPECT_EQ(q.depth(), depth_after);
+  }
+}
+
+TEST(SingleShardQueue, WeightedFairQuotaBindsOnlyAboveCongestion) {
+  // capacity 8, paid:free weights 3:1 -> shares 6 and 2; congestion 0.5
+  // -> quotas bind once 4 entries are queued.
+  const TenantTable table({TenantClass{"paid", 0, 3.0},
+                           TenantClass{"free", 0, 1.0}});
+  ShardedRequestQueue q(8, 1);
+  q.set_tenancy(&table, 0.5);
+  const auto pending = [&](const std::string& cls) {
+    PendingRequest p;
+    p.request.model = "m";
+    p.class_index = table.resolve(cls);
+    p.tenant_class = cls;
+    p.enqueued = ServeClock::now();
+    return p;
+  };
+
+  // Work-conserving below the threshold: free fills past its share of 2.
+  for (int i = 0; i < 4; ++i)
+    ASSERT_EQ(q.push(pending("free")), Admit::kOk) << i;
+  // At the threshold the over-share class is cut off...
+  EXPECT_EQ(q.push(pending("free")), Admit::kQuota);
+  EXPECT_EQ(q.class_depth(table.resolve("free")), 4u);
+  // ...while the under-share class still has protected headroom.
+  for (int i = 0; i < 4; ++i)
+    ASSERT_EQ(q.push(pending("paid")), Admit::kOk) << i;
+  // Genuinely full now: capacity, not quota, rejects either class.
+  EXPECT_EQ(q.push(pending("paid")), Admit::kFull);
+  EXPECT_EQ(q.push(pending("free")), Admit::kFull);
+
+  q.close();
+  for (auto& p : q.drain()) p.promise.set_value(InferResponse{});
+}
+
+TEST(SingleShardQueue, ExpiryCloseInterleavingStressCompletesEveryRequestOnce) {
+  // Many producers push a mix of already-expired, soon-expiring, and
+  // immortal requests while a consumer collects and a sweeper polls
+  // wait_front; close() lands mid-stream. Every future must resolve exactly
+  // once (a double completion would throw std::future_error inside the
+  // queue) and the depth watermark must never exceed capacity.
+  constexpr int kProducers = 8;
+  constexpr int kPerProducer = 200;
+  constexpr std::size_t kCapacity = 64;
+  ShardedRequestQueue q(kCapacity, 1);
+  std::atomic<std::size_t> expired_reported{0};
+  q.set_on_expired([&](std::size_t, std::size_t n) { expired_reported += n; });
+
+  std::vector<std::future<InferResponse>> futs(
+      static_cast<std::size_t>(kProducers * kPerProducer));
+  std::atomic<std::size_t> accepted{0};
+  std::atomic<bool> consumer_stop{false};
+
+  std::thread consumer([&] {
+    std::string model;
+    ServeTimePoint enq;
+    while (!consumer_stop.load()) {
+      // Collect whatever model sits at the EDF front; the short deadline
+      // keeps the consumer responsive to close().
+      if (!q.wait_front(&model, &enq)) return;  // closed + drained
+      for (auto& p : q.collect(model, 4,
+                               ServeClock::now() +
+                                   std::chrono::microseconds(200))) {
+        InferResponse r;
+        r.status = ServeStatus::kOk;
+        p.promise.set_value(std::move(r));
+      }
+    }
+  });
+
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&, t] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        PendingRequest p;
+        p.request.model = "m" + std::to_string(i % 3);
+        const int kind = (t + i) % 3;
+        if (kind == 0)
+          p.request.deadline = ServeClock::now() - std::chrono::seconds(1);
+        else if (kind == 1)
+          p.request.deadline =
+              ServeClock::now() + std::chrono::microseconds(50 * (i % 7));
+        p.enqueued = ServeClock::now();
+        const std::size_t slot =
+            static_cast<std::size_t>(t * kPerProducer + i);
+        futs[slot] = p.promise.get_future();
+        switch (q.push(std::move(p))) {
+          case Admit::kOk:
+            ++accepted;
+            break;
+          case Admit::kFull:
+          case Admit::kQuota:
+          case Admit::kClosed: {
+            InferResponse r;
+            r.status = ServeStatus::kRejected;
+            p.promise.set_value(std::move(r));
+            break;
+          }
+        }
+        EXPECT_LE(q.depth(), kCapacity);
+      }
+    });
+  }
+  // Close mid-stream: producers racing the close must get kClosed (their
+  // own completion), never a hang or a double-set.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  q.close();
+  for (auto& t : producers) t.join();
+  consumer_stop = true;
+  consumer.join();
+
+  // The queue is closed; whatever remains resolves via drain (the server's
+  // shutdown path).
+  std::size_t drained = 0;
+  for (auto& p : q.drain()) {
+    InferResponse r;
+    r.status = ServeStatus::kShutdown;
+    p.promise.set_value(std::move(r));
+    ++drained;
+  }
+
+  std::size_t ok = 0, rejected = 0, expired = 0, shutdown = 0;
+  for (auto& f : futs) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready);
+    switch (f.get().status) {
+      case ServeStatus::kOk: ++ok; break;
+      case ServeStatus::kRejected: ++rejected; break;
+      case ServeStatus::kDeadlineExceeded: ++expired; break;
+      case ServeStatus::kShutdown: ++shutdown; break;
+      default: FAIL() << "unexpected status";
+    }
+  }
+  // Conservation: every request resolved with exactly one of the four
+  // outcomes, and the queue-reported expiry count matches the futures.
+  EXPECT_EQ(ok + rejected + expired + shutdown, futs.size());
+  EXPECT_EQ(accepted.load(), ok + expired + drained);
+  EXPECT_EQ(expired_reported.load(), expired);
+  EXPECT_EQ(shutdown, drained);
 }
 
 }  // namespace

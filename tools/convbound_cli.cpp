@@ -30,10 +30,13 @@
 //          [--bucket N] [--max-bucket N] [--mode measured|tuned]
 //          [--budget N] [--machine NAME] [--trace-out FILE]
 //          [--metrics-out FILE]
-//       Closed-loop self-benchmark of the micro-batching inference server:
-//       N client threads each send `requests` back-to-back requests across
-//       the (scaled-down) models; prints the bound-guided bucket tables,
-//       throughput, latency percentiles, and the batch-size histogram.
+//       Closed-loop self-benchmark of the micro-batching server: the
+//       cluster front door with one --machine device (--serve-workers
+//       workers, one pending group per worker). N client threads each send
+//       `requests` back-to-back requests across the (scaled-down) models;
+//       prints the bound-guided bucket tables, throughput, latency
+//       percentiles, and the batch-size histogram; exits non-zero on any
+//       failed request or plan-cache miss after warmup.
 //       --bucket 0 (default) = bound-guided bucket; 1 = unbatched baseline.
 //       --shards sets the front door's ingest shards (lock-striped submit;
 //       1 = single-queue exact-EDF); --producers overrides --clients for
@@ -413,226 +416,88 @@ void dump_observability(const Args& a, const StatsSnapshot& s,
   }
 }
 
-int cmd_serve(const Args& a) {
+/// The scaled-down served models of --models/--layers/--chan-cap/
+/// --spatial-cap (shared by serve and cluster).
+std::vector<ServedModel> served_models(const Args& a) {
   ServedModelOptions scale;
   scale.max_layers = static_cast<std::size_t>(a.geti("layers", 3));
   scale.channel_cap = a.geti("chan-cap", 16);
   scale.spatial_cap = a.geti("spatial-cap", 28);
-
   std::vector<ServedModel> models;
   for (const std::string& name :
        split_csv(a.gets("models", "squeezenet,resnet-18")))
     models.push_back(
         make_served_model(name, model_by_name(name, 1), scale));
-
-  ServerOptions opts;
-  opts.machine = spec_by_name(a.gets("machine", "v100"));
-  opts.workers = static_cast<int>(a.geti("serve-workers", 2));
-  opts.replicas = static_cast<int>(a.geti("replicas", 1));
-  opts.max_queue = static_cast<std::size_t>(a.geti("queue", 256));
-  opts.shards = static_cast<std::size_t>(a.geti("shards", 4));
-  opts.max_delay = std::chrono::microseconds(a.geti("delay-us", 2000));
-  opts.force_bucket = a.geti("bucket", 0);
-  opts.policy.max_bucket = a.geti("max-bucket", 8);
-  const std::string mode = a.gets("mode", "measured");
-  CB_CHECK_MSG(mode == "measured" || mode == "tuned",
-               "serve planning mode must be measured|tuned");
-  opts.plan_mode = mode == "tuned" ? PlanMode::kTuned : PlanMode::kMeasured;
-  opts.tune_budget = static_cast<int>(a.geti("budget", 16));
-
-  maybe_enable_tracing(a);
-  InferenceServer server(models, opts);
-  WallTimer warm_timer;
-  server.start();
-  std::printf("started: %zu models on %s, %d workers, warmup %.2fs "
-              "(planning + workspace warm; serving does neither)\n\n",
-              models.size(), opts.machine.name.c_str(), opts.workers,
-              warm_timer.seconds());
-
-  Table buckets({"model", "bucket", "pred us/req by bucket",
-                 "batch us at chosen"});
-  for (const auto& m : models) {
-    const BucketChoice& c = server.bucket_choice(m.name);
-    std::string curve;
-    double chosen_batch_us = 0;
-    for (const auto& s : c.scores) {
-      if (!curve.empty()) curve += "  ";
-      curve += std::to_string(s.bucket) + ":" +
-               Table::fmt(s.predicted_seconds_per_request * 1e6, 1) +
-               (s.feasible ? "" : "!");
-      if (s.bucket == c.bucket) chosen_batch_us = s.predicted_batch_seconds;
-    }
-    buckets.add_row({m.name, std::to_string(c.bucket), curve,
-                     Table::fmt(chosen_batch_us * 1e6, 1)});
-  }
-  std::printf("%s\n", buckets.to_string().c_str());
-
-  // --producers is the contention knob for the sharded front door: it
-  // overrides --clients as the number of submitting threads.
-  const int clients =
-      static_cast<int>(a.geti("producers", a.geti("clients", 4)));
-  const int per_client = static_cast<int>(a.geti("requests", 16));
-  WallTimer load_timer;
-  // Failures are counted, never thrown: an exception escaping a client
-  // thread would std::terminate the whole benchmark.
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      for (int i = 0; i < per_client; ++i) {
-        const ServedModel& m = models[(c + i) % models.size()];
-        const InferResponse r =
-            server
-                .submit({m.name, make_request_input(m, 7000u * c + i)})
-                .get();
-        if (r.status != ServeStatus::kOk) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-          std::fprintf(stderr, "request failed: %s %s\n",
-                       to_string(r.status), r.error.c_str());
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double wall = load_timer.seconds();
-  const StatsSnapshot s = server.stats();
-  server.stop();
-
-  std::printf("closed loop: %d clients x %d requests in %.2fs\n", clients,
-              per_client, wall);
-  Table t({"metric", "value"});
-  t.add_row({"completed", std::to_string(s.completed)});
-  t.add_row({"micro-batches", std::to_string(s.batches)});
-  t.add_row({"mean batch size", Table::fmt(s.mean_batch_size, 2)});
-  t.add_row({"throughput (wall)",
-             Table::fmt(static_cast<double>(s.completed) / wall, 1) +
-                 " req/s"});
-  t.add_row({"throughput (modelled accel)",
-             Table::fmt(s.modelled_rps, 0) + " req/s"});
-  t.add_row({"latency p50 / p95 / p99 (ms)",
-             Table::fmt(s.latency_p50 * 1e3, 2) + " / " +
-                 Table::fmt(s.latency_p95 * 1e3, 2) + " / " +
-                 Table::fmt(s.latency_p99 * 1e3, 2)});
-  // Stage decomposition of the same completed requests: the three stages
-  // sum to the end-to-end latency per request.
-  t.add_row({"stage p99: queue / batch / exec (ms)",
-             Table::fmt(s.queue_wait_p99 * 1e3, 2) + " / " +
-                 Table::fmt(s.batch_delay_p99 * 1e3, 2) + " / " +
-                 Table::fmt(s.exec_p99 * 1e3, 2)});
-  t.add_row({"shed: full / quota / shutdown / expired",
-             std::to_string(s.rejected) + " / " +
-                 std::to_string(s.quota_rejected) + " / " +
-                 std::to_string(s.shutdown_rejected) + " / " +
-                 std::to_string(s.expired)});
-  t.add_row({"max queue depth", std::to_string(s.max_queue_depth)});
-  std::string shard_hwm;
-  for (std::size_t i = 0; i < s.shard_max_depths.size(); ++i)
-    shard_hwm += (i ? " " : "") + std::to_string(s.shard_max_depths[i]);
-  t.add_row({"shard depth high-water marks", shard_hwm});
-  t.add_row({"shard imbalance (max/mean)",
-             Table::fmt(s.shard_imbalance, 2)});
-  t.add_row({"plan-cache misses after warm",
-             std::to_string(s.plan_misses_after_warm)});
-  t.add_row({"workspace",
-             std::to_string(s.workspace_buffers) + " buffers, " +
-                 Table::fmt(static_cast<double>(s.workspace_bytes) / 1e6, 2) +
-                 " MB"});
-  std::printf("%s", t.to_string().c_str());
-
-  std::string hist = "batch-size histogram:";
-  for (const auto& [size, count] : s.batch_histogram)
-    hist += " " + std::to_string(size) + "x" + std::to_string(count);
-  std::printf("%s\n", hist.c_str());
-  dump_observability(a, s, "serve");
-  if (failures.load(std::memory_order_relaxed) > 0)
-    std::fprintf(stderr, "%d requests failed\n", failures.load(std::memory_order_relaxed));
-  return failures.load(std::memory_order_relaxed) == 0 && s.plan_misses_after_warm == 0 ? 0 : 1;
+  return models;
 }
 
-int cmd_cluster(const Args& a) {
-  ServedModelOptions scale;
-  scale.max_layers = static_cast<std::size_t>(a.geti("layers", 3));
-  scale.channel_cap = a.geti("chan-cap", 16);
-  scale.spatial_cap = a.geti("spatial-cap", 28);
-
-  std::vector<ServedModel> models;
-  for (const std::string& name :
-       split_csv(a.gets("models", "squeezenet,resnet-18")))
-    models.push_back(
-        make_served_model(name, model_by_name(name, 1), scale));
-
+/// The front-door and planning flags serve and cluster share; the caller
+/// adds the devices. Only the queue default differs between the two.
+ClusterOptions front_door_options(const Args& a, std::int64_t default_queue) {
   ClusterOptions opts;
-  for (const std::string& spec : split_csv(a.gets("devices", "v100,hbm,dense"))) {
-    DeviceConfig d;
-    d.spec = spec_by_name(spec);
-    d.workers = static_cast<int>(a.geti("dev-workers", 2));
-    d.replicas = static_cast<int>(a.geti("replicas", 0));
-    d.max_pending_groups = static_cast<int>(a.geti("pending", 0));
-    opts.devices.push_back(std::move(d));
-  }
-  opts.policy = route_policy_by_name(a.gets("policy", "bound"));
-  opts.max_queue = static_cast<std::size_t>(a.geti("queue", 1024));
+  opts.max_queue = static_cast<std::size_t>(a.geti("queue", default_queue));
   opts.shards = static_cast<std::size_t>(a.geti("shards", 4));
   opts.max_delay = std::chrono::microseconds(a.geti("delay-us", 2000));
   opts.force_bucket = a.geti("bucket", 0);
   opts.batch_policy.max_bucket = a.geti("max-bucket", 8);
   const std::string mode = a.gets("mode", "measured");
   CB_CHECK_MSG(mode == "measured" || mode == "tuned",
-               "cluster planning mode must be measured|tuned");
+               "planning mode must be measured|tuned");
   opts.plan_mode = mode == "tuned" ? PlanMode::kTuned : PlanMode::kMeasured;
   opts.tune_budget = static_cast<int>(a.geti("budget", 16));
+  return opts;
+}
 
-  // Tenant classes: "name:budget_ms:weight" triples; trailing fields are
-  // optional (budget 0 = no latency budget, weight defaults to 1).
-  for (const std::string& spec : split_csv(a.gets("classes", ""))) {
-    TenantClass c;
-    const std::size_t colon1 = spec.find(':');
-    c.name = spec.substr(0, colon1);
-    if (colon1 != std::string::npos) {
-      const std::size_t colon2 = spec.find(':', colon1 + 1);
-      c.latency_budget_seconds =
-          std::stod(spec.substr(colon1 + 1, colon2 - colon1 - 1)) / 1e3;
-      if (colon2 != std::string::npos)
-        c.quota_weight = std::stod(spec.substr(colon2 + 1));
-    }
-    opts.classes.push_back(std::move(c));
-  }
-  opts.admission_congestion =
-      static_cast<double>(a.geti("congestion", 50)) / 100.0;
+/// Client threads, requests per client, and optional mid-load chaos.
+struct LoadSpec {
+  int clients = 4;
+  int per_client = 16;
+  std::int64_t kill = -1;  ///< device to fail mid-load; -1 = none
+  std::int64_t kill_after_ms = 5;
+  std::string revive;  ///< "", "warm" or "cold"
+};
+
+/// The closed-loop driver behind both serve (a fleet of one) and cluster:
+/// starts the fleet, prints the bucket tables, runs `load`, prints the
+/// device / class / summary tables, and writes --trace-out/--metrics-out.
+/// Returns non-zero on any failed request or plan-cache miss after warm.
+int run_closed_loop(const Args& a, const std::vector<ServedModel>& models,
+                    const ClusterOptions& opts, const LoadSpec& load,
+                    const std::string& job) {
   const bool tenanted = !opts.classes.empty();
-
-  const std::int64_t kill = a.geti("kill", -1);
-  const std::string revive = a.gets("revive", "");
-  CB_CHECK_MSG(revive.empty() || revive == "warm" || revive == "cold",
-               "--revive must be warm|cold");
-  CB_CHECK_MSG(revive.empty() || kill >= 0, "--revive needs --kill");
-
   maybe_enable_tracing(a);
   ClusterServer cluster(models, opts);
   WallTimer warm_timer;
   cluster.start();
-  std::printf("started: %zu models on %zu devices (%s routing), warmup "
+  std::printf("started: %zu models on %zu device(s) (%s routing), warmup "
               "%.2fs (planning + workspace warm; serving does neither)\n\n",
-              models.size(), cluster.num_devices(),
-              to_string(opts.policy), warm_timer.seconds());
+              models.size(), cluster.num_devices(), to_string(opts.policy),
+              warm_timer.seconds());
 
-  // The router's cost table: predicted per-request time of each model's
-  // chosen bucket on each device — what placement decisions read.
-  Table costs({"device", "model", "bucket", "pred us/req"});
+  // Each device's bound-guided bucket per model: the predicted per-request
+  // time of every scored bucket ("!" = infeasible) and the chosen bucket's
+  // batch time — the cost table the Router places on.
+  Table buckets({"device", "model", "bucket", "pred us/req by bucket",
+                 "batch us at chosen"});
   for (std::size_t i = 0; i < cluster.num_devices(); ++i) {
     for (const auto& m : models) {
       const BucketChoice& c = cluster.device(i).engine().bucket_choice(m.name);
-      double per_req = 0;
-      for (const auto& s : c.scores)
-        if (s.chosen) per_req = s.predicted_seconds_per_request;
-      costs.add_row({cluster.device(i).name(), m.name,
-                     std::to_string(c.bucket), Table::fmt(per_req * 1e6, 2)});
+      std::string curve;
+      double chosen_batch_us = 0;
+      for (const auto& s : c.scores) {
+        if (!curve.empty()) curve += "  ";
+        curve += std::to_string(s.bucket) + ":" +
+                 Table::fmt(s.predicted_seconds_per_request * 1e6, 1) +
+                 (s.feasible ? "" : "!");
+        if (s.bucket == c.bucket) chosen_batch_us = s.predicted_batch_seconds;
+      }
+      buckets.add_row({cluster.device(i).name(), m.name,
+                       std::to_string(c.bucket), curve,
+                       Table::fmt(chosen_batch_us * 1e6, 1)});
     }
   }
-  std::printf("%s\n", costs.to_string().c_str());
+  std::printf("%s\n", buckets.to_string().c_str());
 
-  const int clients = static_cast<int>(a.geti("clients", 4));
-  const int per_client = static_cast<int>(a.geti("requests", 16));
   WallTimer load_timer;
   // Failures are counted, never thrown: an exception escaping a client
   // thread would std::terminate the whole benchmark. Under tenancy the
@@ -641,9 +506,9 @@ int cmd_cluster(const Args& a) {
   std::atomic<int> failures{0};
   std::atomic<int> shed{0};
   std::vector<std::thread> threads;
-  for (int c = 0; c < clients; ++c) {
+  for (int c = 0; c < load.clients; ++c) {
     threads.emplace_back([&, c] {
-      for (int i = 0; i < per_client; ++i) {
+      for (int i = 0; i < load.per_client; ++i) {
         const ServedModel& m = models[(c + i) % models.size()];
         InferRequest req{m.name, make_request_input(m, 7000u * c + i)};
         if (tenanted)
@@ -669,16 +534,15 @@ int cmd_cluster(const Args& a) {
   // Chaos, driven from the main thread while the clients hammer the fleet:
   // kill mid-load, optionally hot-join the device back.
   std::size_t chaos_requeued = 0;
-  if (kill >= 0) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(a.geti("kill-after-ms", 5)));
-    chaos_requeued = cluster.fail_device(static_cast<std::size_t>(kill));
-    if (!revive.empty()) {
+  if (load.kill >= 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(load.kill_after_ms));
+    chaos_requeued = cluster.fail_device(static_cast<std::size_t>(load.kill));
+    if (!load.revive.empty()) {
       std::this_thread::sleep_for(
-          std::chrono::milliseconds(a.geti("kill-after-ms", 5)));
+          std::chrono::milliseconds(load.kill_after_ms));
       cluster.revive_device(
-          static_cast<std::size_t>(kill),
-          revive == "warm" ? ReviveMode::kWarm : ReviveMode::kCold);
+          static_cast<std::size_t>(load.kill),
+          load.revive == "warm" ? ReviveMode::kWarm : ReviveMode::kCold);
     }
   }
   for (auto& t : threads) t.join();
@@ -686,12 +550,11 @@ int cmd_cluster(const Args& a) {
   const ClusterSnapshot s = cluster.stats();
   cluster.stop();
 
-  std::printf("closed loop: %d clients x %d requests in %.2fs\n", clients,
-              per_client, wall);
+  std::printf("closed loop: %d clients x %d requests in %.2fs\n",
+              load.clients, load.per_client, wall);
   Table devices({"device", "alive", "placed", "batches", "mean batch",
                  "completed", "modelled req/s", "plan misses"});
-  std::uint64_t plan_misses = 0;
-  for (const DeviceSnapshot& d : s.devices) {
+  for (const DeviceSnapshot& d : s.devices)
     devices.add_row({d.name, d.alive ? "yes" : "DEAD",
                      std::to_string(d.placements),
                      std::to_string(d.stats.batches),
@@ -699,8 +562,6 @@ int cmd_cluster(const Args& a) {
                      std::to_string(d.stats.completed),
                      Table::fmt(d.stats.modelled_rps, 0),
                      std::to_string(d.stats.plan_misses_after_warm)});
-    plan_misses += d.stats.plan_misses_after_warm;
-  }
   std::printf("%s\n", devices.to_string().c_str());
 
   if (tenanted && !s.fleet.classes.empty()) {
@@ -718,49 +579,132 @@ int cmd_cluster(const Args& a) {
     std::printf("%s\n", classes.to_string().c_str());
   }
 
+  const StatsSnapshot& f = s.fleet;
   Table t({"metric", "value"});
-  t.add_row({"completed", std::to_string(s.fleet.completed)});
-  t.add_row({"micro-batches", std::to_string(s.fleet.batches)});
+  t.add_row({"completed", std::to_string(f.completed)});
+  t.add_row({"micro-batches", std::to_string(f.batches)});
+  t.add_row({"mean batch size", Table::fmt(f.mean_batch_size, 2)});
   t.add_row({"throughput (wall)",
-             Table::fmt(static_cast<double>(s.fleet.completed) / wall, 1) +
+             Table::fmt(static_cast<double>(f.completed) / wall, 1) +
                  " req/s"});
   t.add_row({"throughput (modelled fleet)",
-             Table::fmt(s.fleet.modelled_rps, 0) + " req/s"});
+             Table::fmt(f.modelled_rps, 0) + " req/s"});
   t.add_row({"stolen groups (work stealing)",
              std::to_string(s.stolen_groups)});
   t.add_row({"latency p50 / p95 / p99 (ms)",
-             Table::fmt(s.fleet.latency_p50 * 1e3, 2) + " / " +
-                 Table::fmt(s.fleet.latency_p95 * 1e3, 2) + " / " +
-                 Table::fmt(s.fleet.latency_p99 * 1e3, 2)});
+             Table::fmt(f.latency_p50 * 1e3, 2) + " / " +
+                 Table::fmt(f.latency_p95 * 1e3, 2) + " / " +
+                 Table::fmt(f.latency_p99 * 1e3, 2)});
+  // Stage decomposition of the same completed requests: the three stages
+  // sum to the end-to-end latency per request.
   t.add_row({"stage p99: queue / batch / exec (ms)",
-             Table::fmt(s.fleet.queue_wait_p99 * 1e3, 2) + " / " +
-                 Table::fmt(s.fleet.batch_delay_p99 * 1e3, 2) + " / " +
-                 Table::fmt(s.fleet.exec_p99 * 1e3, 2)});
+             Table::fmt(f.queue_wait_p99 * 1e3, 2) + " / " +
+                 Table::fmt(f.batch_delay_p99 * 1e3, 2) + " / " +
+                 Table::fmt(f.exec_p99 * 1e3, 2)});
   t.add_row({"shed: full / quota / shutdown / expired",
-             std::to_string(s.fleet.rejected) + " / " +
-                 std::to_string(s.fleet.quota_rejected) + " / " +
-                 std::to_string(s.fleet.shutdown_rejected) + " / " +
-                 std::to_string(s.fleet.expired)});
-  t.add_row({"max queue depth", std::to_string(s.fleet.max_queue_depth)});
-  t.add_row({"shard imbalance (max/mean)",
-             Table::fmt(s.fleet.shard_imbalance, 2)});
-  if (kill >= 0)
+             std::to_string(f.rejected) + " / " +
+                 std::to_string(f.quota_rejected) + " / " +
+                 std::to_string(f.shutdown_rejected) + " / " +
+                 std::to_string(f.expired)});
+  t.add_row({"max queue depth", std::to_string(f.max_queue_depth)});
+  std::string shard_hwm;
+  for (std::size_t i = 0; i < f.shard_max_depths.size(); ++i)
+    shard_hwm += (i ? " " : "") + std::to_string(f.shard_max_depths[i]);
+  t.add_row({"shard depth high-water marks", shard_hwm});
+  t.add_row({"shard imbalance (max/mean)", Table::fmt(f.shard_imbalance, 2)});
+  if (load.kill >= 0)
     t.add_row({"chaos: failures / revives / requeued",
                std::to_string(s.device_failures) + " / " +
                    std::to_string(s.device_revives) + " / " +
                    std::to_string(s.requeued_requests) + " (" +
                    std::to_string(chaos_requeued) + " at kill)"});
-  t.add_row({"plan-cache misses after warm (fleet)",
-             std::to_string(plan_misses)});
+  t.add_row({"plan-cache misses after warm",
+             std::to_string(f.plan_misses_after_warm)});
+  t.add_row({"workspace",
+             std::to_string(f.workspace_buffers) + " buffers, " +
+                 Table::fmt(static_cast<double>(f.workspace_bytes) / 1e6, 2) +
+                 " MB"});
   std::printf("%s", t.to_string().c_str());
-  dump_observability(a, s.fleet, "cluster");
+
+  std::string hist = "batch-size histogram:";
+  for (const auto& [size, count] : f.batch_histogram)
+    hist += " " + std::to_string(size) + "x" + std::to_string(count);
+  std::printf("%s\n", hist.c_str());
+  dump_observability(a, f, job);
 
   if (shed.load(std::memory_order_relaxed) > 0)
     std::printf("%d requests shed (quota / backpressure / budget)\n",
                 shed.load(std::memory_order_relaxed));
   if (failures.load(std::memory_order_relaxed) > 0)
-    std::fprintf(stderr, "%d requests failed\n", failures.load(std::memory_order_relaxed));
-  return failures.load(std::memory_order_relaxed) == 0 && plan_misses == 0 ? 0 : 1;
+    std::fprintf(stderr, "%d requests failed\n",
+                 failures.load(std::memory_order_relaxed));
+  return failures.load(std::memory_order_relaxed) == 0 &&
+                 f.plan_misses_after_warm == 0
+             ? 0
+             : 1;
+}
+
+int cmd_serve(const Args& a) {
+  ClusterOptions opts = front_door_options(a, 256);
+  DeviceConfig d;
+  d.spec = spec_by_name(a.gets("machine", "v100"));
+  d.workers = static_cast<int>(a.geti("serve-workers", 2));
+  d.replicas = static_cast<int>(a.geti("replicas", 1));
+  // One pending group per worker: the Router blocks the scheduler until a
+  // worker is free, so groups form as late as possible and saturation
+  // backlog pools in the request queue.
+  d.max_pending_groups = d.workers;
+  opts.devices.push_back(std::move(d));
+  LoadSpec load;
+  // --producers is the contention knob for the sharded front door: it
+  // overrides --clients as the number of submitting threads.
+  load.clients = static_cast<int>(a.geti("producers", a.geti("clients", 4)));
+  load.per_client = static_cast<int>(a.geti("requests", 16));
+  return run_closed_loop(a, served_models(a), opts, load, "serve");
+}
+
+int cmd_cluster(const Args& a) {
+  ClusterOptions opts = front_door_options(a, 1024);
+  for (const std::string& spec : split_csv(a.gets("devices", "v100,hbm,dense"))) {
+    DeviceConfig d;
+    d.spec = spec_by_name(spec);
+    d.workers = static_cast<int>(a.geti("dev-workers", 2));
+    d.replicas = static_cast<int>(a.geti("replicas", 0));
+    d.max_pending_groups = static_cast<int>(a.geti("pending", 0));
+    opts.devices.push_back(std::move(d));
+  }
+  opts.policy = route_policy_by_name(a.gets("policy", "bound"));
+
+  // Tenant classes: "name:budget_ms:weight" triples; trailing fields are
+  // optional (budget 0 = no latency budget, weight defaults to 1).
+  for (const std::string& spec : split_csv(a.gets("classes", ""))) {
+    TenantClass c;
+    const std::size_t colon1 = spec.find(':');
+    c.name = spec.substr(0, colon1);
+    if (colon1 != std::string::npos) {
+      const std::size_t colon2 = spec.find(':', colon1 + 1);
+      c.latency_budget_seconds =
+          std::stod(spec.substr(colon1 + 1, colon2 - colon1 - 1)) / 1e3;
+      if (colon2 != std::string::npos)
+        c.quota_weight = std::stod(spec.substr(colon2 + 1));
+    }
+    opts.classes.push_back(std::move(c));
+  }
+  opts.admission_congestion =
+      static_cast<double>(a.geti("congestion", 50)) / 100.0;
+
+  LoadSpec load;
+  load.clients = static_cast<int>(a.geti("clients", 4));
+  load.per_client = static_cast<int>(a.geti("requests", 16));
+  load.kill = a.geti("kill", -1);
+  load.kill_after_ms = a.geti("kill-after-ms", 5);
+  load.revive = a.gets("revive", "");
+  CB_CHECK_MSG(load.revive.empty() || load.revive == "warm" ||
+                   load.revive == "cold",
+               "--revive must be warm|cold");
+  CB_CHECK_MSG(load.revive.empty() || load.kill >= 0,
+               "--revive needs --kill");
+  return run_closed_loop(a, served_models(a), opts, load, "cluster");
 }
 
 int cmd_models(const Args& a) {
