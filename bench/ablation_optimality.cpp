@@ -72,7 +72,9 @@ void register_stationarity_and_occupancy() {
           const auto ours = direct_tiled_sim(
               gpu, p.input, p.weights, s,
               default_tiled_config(s, gpu.spec()), out);
-          const auto naive = direct_naive_sim(gpu, p.input, p.weights, s, out);
+          const auto naive = run_conv(gpu, ConvAlgorithm::kDirectNaive,
+                                      p.input, p.weights, s)
+                                 .stats;
           char buf[160];
           std::snprintf(buf, sizeof(buf),
                         "output-stationary tiles move %.2fx less data than "

@@ -13,8 +13,9 @@
 // bench/baselines/gates.json).
 //
 // All tuners run through the batched parallel measurement engine
-// (BatchMeasurer); the ATE method is additionally re-run through the serial
-// ConvMeasurer to report the batched-vs-serial wall-clock speedup and to
+// (BatchMeasurer); the ATE method is additionally re-run on a one-replica
+// BatchMeasurer, which measures candidates one after another with striped
+// launches, to report the batched-vs-serial wall-clock speedup and to
 // assert the two search traces are bit-identical. Results are emitted as
 // BENCH_fig11_tuning_curve.json for trajectory tracking.
 #include "bench_util.hpp"
@@ -170,7 +171,7 @@ void register_all() {
       // Batched-vs-serial: same seed, same tuner, the two measurement
       // engines must produce bit-identical traces; only wall-clock differs.
       {
-        ConvMeasurer serial(gpu, pruned, /*seed=*/7);
+        BatchMeasurer serial(gpu.spec(), pruned, /*seed=*/7, /*workers=*/1);
         AteTuner ate_serial(7, ate_params);
         WallTimer t_serial;
         const TuneResult res_serial = ate_serial.run(serial, budget());

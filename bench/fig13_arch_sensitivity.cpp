@@ -7,6 +7,7 @@
 // (EXPERIMENTS.md records the mapping).
 #include "bench_util.hpp"
 
+#include "convbound/tune/batch_measure.hpp"
 #include "convbound/tune/tuners.hpp"
 
 namespace convbound::bench {
@@ -44,7 +45,7 @@ double tuned_gflops(SimGpu& gpu, const Case& c, bool prune) {
   opts.winograd = c.winograd;
   opts.prune_with_optimality = prune;
   const auto domain = SearchDomain::build(c.shape, gpu.spec(), opts);
-  ConvMeasurer m(gpu, domain, 5);
+  BatchMeasurer m(gpu.spec(), domain, 5);
   AteTuner::Params params;
   if (prune) {
     // Our engine starts from the template's analytic default schedule.

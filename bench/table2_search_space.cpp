@@ -3,6 +3,7 @@
 // GBT cost model, unpruned domain), on AlexNet conv layers, V100 model.
 #include "bench_util.hpp"
 
+#include "convbound/tune/batch_measure.hpp"
 #include "convbound/tune/tuners.hpp"
 
 namespace convbound::bench {
@@ -36,7 +37,7 @@ void run_row(Row row) {
   row.tvm_space = tvm_domain.size();
 
   {
-    ConvMeasurer m(gpu, ate_domain, 11);
+    BatchMeasurer m(gpu.spec(), ate_domain, 11);
     AteTuner::Params params;
     params.seeds.push_back(row.winograd
                                ? default_winograd_config(row.shape, 2, gpu.spec())
@@ -47,7 +48,7 @@ void run_row(Row row) {
     row.ate_gflops = m.gflops(r.best_seconds);
   }
   {
-    ConvMeasurer m(gpu, tvm_domain, 11);
+    BatchMeasurer m(gpu.spec(), tvm_domain, 11);
     AteTuner tuner(11);  // same engine, unpruned space = TVM-like
     const TuneResult r = tuner.run(m, kBudget);
     row.tvm_iters = r.trials_to_converge();

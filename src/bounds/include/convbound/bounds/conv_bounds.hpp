@@ -85,6 +85,16 @@ double winograd_dataflow_reads_min(const ConvShape& s, std::int64_t e,
                                    std::int64_t x_max, std::int64_t y_max,
                                    std::int64_t z_max);
 
+// ---------------------------------------------------------------- family --
+
+/// Lower bound of an algorithm family: the direct family (Thm 4.12) when
+/// e == 0, the Winograd F(e x e, r x r) family (Thm 4.20) otherwise. Takes
+/// the larger of the exact proof form and the leading form, because the
+/// exact form can be vacuous (zero) at small scales. The leading form is
+/// the headline asymptotic term, not a proven bound, so a caller that needs
+/// admissibility (branch-and-bound pruning) uses the exact form.
+double family_lower_bound(const ConvShape& s, std::int64_t e, double S);
+
 // ---------------------------------------------------- optimality condition --
 
 /// The paper's optimality condition x*y = R*z solved under a tile budget of

@@ -235,6 +235,14 @@ double winograd_dataflow_reads_min(const ConvShape& s, std::int64_t e,
 
 // ---------------------------------------------------- optimality condition --
 
+double family_lower_bound(const ConvShape& s, std::int64_t e, double S) {
+  if (e > 0)
+    return std::max(winograd_lower_bound(s, e, S),
+                    winograd_lower_bound_leading(s, e, S));
+  return std::max(direct_conv_lower_bound(s, S),
+                  direct_conv_lower_bound_leading(s, S));
+}
+
 OptimalTile optimal_output_tile(const ConvShape& s, double budget_elems) {
   s.validate();
   CB_CHECK(budget_elems >= 1);

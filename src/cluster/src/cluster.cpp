@@ -148,13 +148,7 @@ std::future<InferResponse> ClusterServer::submit(InferRequest request) {
   // kShed instant carrying the status, resolve the promise. `p` is intact
   // here — push() leaves it untouched on a non-kOk verdict.
   const auto shed = [&](ServeStatus status) {
-    if (status == ServeStatus::kRejected) {
-      stripe.record_rejected(cls);
-    } else if (status == ServeStatus::kQuotaExceeded) {
-      stripe.record_quota_rejected(cls);
-    } else {
-      stripe.record_shutdown_rejected(cls);
-    }
+    stripe.record_rejected(status, cls);
     obs::instant(TraceStage::kShed, enqueued, trace_id, 0, -1,
                  static_cast<double>(status));
     InferResponse r;

@@ -32,9 +32,20 @@ struct ConvResult {
   LaunchStats stats;
 };
 
-/// Runs `algo` on the simulated machine. `cfg` is honoured by the tunable
-/// algorithms and ignored by the baselines; `e` selects the Winograd
-/// variant F(e x e, r x r).
+/// Runs `algo` on the simulated machine into the caller-shaped `out`
+/// [batch, cout, hout, wout]: the one place an algorithm selects its
+/// kernel. `cfg` is honoured by the tunable algorithms and ignored by the
+/// baselines; `e` selects the Winograd variant F(e x e, r x r).
+/// kCudnnDirect is a best-of over two kernels, not one, so only run_conv
+/// (and the planner) resolve it; here it throws.
+LaunchStats run_conv_into(SimGpu& gpu, ConvAlgorithm algo,
+                          const Tensor4<float>& input,
+                          const Tensor4<float>& weights, const ConvShape& s,
+                          const ConvConfig& cfg, std::int64_t e,
+                          Tensor4<float>& out);
+
+/// run_conv_into with a freshly allocated output, and kCudnnDirect run as
+/// the better of kDirectNaive and kIm2col.
 ConvResult run_conv(SimGpu& gpu, ConvAlgorithm algo,
                     const Tensor4<float>& input, const Tensor4<float>& weights,
                     const ConvShape& s, const ConvConfig& cfg = {},

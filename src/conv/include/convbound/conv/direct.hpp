@@ -19,13 +19,13 @@ LaunchStats direct_tiled_sim(SimGpu& gpu, const Tensor4<float>& input,
                              const ConvShape& s, const ConvConfig& cfg,
                              Tensor4<float>& out);
 
-/// Generic direct kernel standing in for cuDNN's non-im2col direct path:
-/// fixed 8x8 spatial tiles, one output channel per block (z = 1), so the
+/// The generic direct kernel standing in for cuDNN's non-im2col direct path
+/// (ConvAlgorithm::kDirectNaive) is direct_tiled_sim at this fixed
+/// configuration: 8x8 spatial tiles (clamped to the output), one output
+/// channel per block (z = 1), 8x8x1 threads and a footprint-sized S_b. The
 /// input tile is re-read C_out times — correct and competent, but with no
 /// output-channel data reuse.
-LaunchStats direct_naive_sim(SimGpu& gpu, const Tensor4<float>& input,
-                             const Tensor4<float>& weights, const ConvShape& s,
-                             Tensor4<float>& out);
+ConvConfig naive_direct_config(const ConvShape& s);
 
 /// im2col + blocked GEMM, the path cuDNN usually prefers for direct
 /// convolution (paper Section 7). The column matrix is materialised in

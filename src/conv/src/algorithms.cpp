@@ -40,45 +40,56 @@ bool algorithm_supports(ConvAlgorithm algo, const ConvShape& s) {
   return false;
 }
 
+LaunchStats run_conv_into(SimGpu& gpu, ConvAlgorithm algo,
+                          const Tensor4<float>& input,
+                          const Tensor4<float>& weights, const ConvShape& s,
+                          const ConvConfig& cfg, std::int64_t e,
+                          Tensor4<float>& out) {
+  s.validate();
+  CB_CHECK_MSG(out.n() == s.batch && out.c() == s.cout &&
+                   out.h() == s.hout() && out.w() == s.wout(),
+               "output tensor does not match shape " << s.to_string());
+  switch (algo) {
+    case ConvAlgorithm::kDirectTiled:
+      return direct_tiled_sim(gpu, input, weights, s, cfg, out);
+    case ConvAlgorithm::kDirectNaive:
+      return direct_tiled_sim(gpu, input, weights, s, naive_direct_config(s),
+                              out);
+    case ConvAlgorithm::kIm2col:
+      return im2col_sim(gpu, input, weights, s, out);
+    case ConvAlgorithm::kWinogradFused:
+      return winograd_fused_sim(gpu, input, weights, s, e, cfg, out);
+    case ConvAlgorithm::kWinogradPhased:
+      return winograd_phased_sim(gpu, input, weights, s, e, out);
+    case ConvAlgorithm::kCudnnDirect:
+      break;  // falls through to the check below
+  }
+  CB_CHECK_MSG(false, "non-executable algorithm "
+                          << to_string(algo)
+                          << " (run_conv and the planner resolve best-of "
+                             "aliases)");
+  return {};
+}
+
 ConvResult run_conv(SimGpu& gpu, ConvAlgorithm algo,
                     const Tensor4<float>& input, const Tensor4<float>& weights,
                     const ConvShape& s, const ConvConfig& cfg,
                     std::int64_t e) {
   s.validate();
-  ConvResult res{Tensor4<float>(s.batch, s.cout, s.hout(), s.wout()), {}};
-  switch (algo) {
-    case ConvAlgorithm::kDirectTiled:
-      res.stats = direct_tiled_sim(gpu, input, weights, s, cfg, res.output);
-      break;
-    case ConvAlgorithm::kDirectNaive:
-      res.stats = direct_naive_sim(gpu, input, weights, s, res.output);
-      break;
-    case ConvAlgorithm::kIm2col:
-      res.stats = im2col_sim(gpu, input, weights, s, res.output);
-      break;
-    case ConvAlgorithm::kCudnnDirect: {
-      // cuDNN picks the better of its direct implementations per shape
-      // (paper Section 7: "we compare with the best one of two direct
-      // implementations in cuDNN"). Grouped shapes only have the direct
-      // path.
-      ConvResult naive{Tensor4<float>(s.batch, s.cout, s.hout(), s.wout()),
-                       {}};
-      naive.stats = direct_naive_sim(gpu, input, weights, s, naive.output);
-      if (s.groups > 1) return naive;
-      ConvResult i2c{Tensor4<float>(s.batch, s.cout, s.hout(), s.wout()), {}};
-      i2c.stats = im2col_sim(gpu, input, weights, s, i2c.output);
-      return naive.stats.sim_time <= i2c.stats.sim_time ? std::move(naive)
-                                                        : std::move(i2c);
-    }
-    case ConvAlgorithm::kWinogradFused:
-      res.stats =
-          winograd_fused_sim(gpu, input, weights, s, e, cfg, res.output);
-      break;
-    case ConvAlgorithm::kWinogradPhased:
-      res.stats = winograd_phased_sim(gpu, input, weights, s, e, res.output);
-      break;
-  }
-  return res;
+  const auto run = [&](ConvAlgorithm a) {
+    ConvResult r{Tensor4<float>(s.batch, s.cout, s.hout(), s.wout()), {}};
+    r.stats = run_conv_into(gpu, a, input, weights, s, cfg, e, r.output);
+    return r;
+  };
+  if (algo != ConvAlgorithm::kCudnnDirect) return run(algo);
+  // cuDNN picks the better of its direct implementations per shape (paper
+  // Section 7: "we compare with the best one of two direct implementations
+  // in cuDNN"). Grouped shapes only have the direct path.
+  ConvResult naive = run(ConvAlgorithm::kDirectNaive);
+  if (s.groups > 1) return naive;
+  ConvResult i2c = run(ConvAlgorithm::kIm2col);
+  return naive.stats.sim_time <= i2c.stats.sim_time ? std::move(naive)
+                                                    : std::move(i2c);
 }
 
 ConvConfig default_tiled_config(const ConvShape& s, const MachineSpec& spec) {

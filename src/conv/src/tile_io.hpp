@@ -61,7 +61,7 @@ inline void store_output_tile(BlockContext& ctx, Tensor4<float>& out,
 }
 
 /// The update of one output channel's resident tile by one input channel
-/// slice (direct_naive, and direct_tiled when z is 1): for dx < ex, dy < ey,
+/// slice (direct_tiled's z = 1 blocks): for dx < ex, dy < ey,
 ///   acc[dx*acc_stride + dy] += sum_{fh,fw} w[fh*kw + fw] *
 ///       tile[(dx*stride + fh)*tile_stride + dy*stride + fw].
 /// Pure host arithmetic (no counted traffic). Each weight is hoisted to a

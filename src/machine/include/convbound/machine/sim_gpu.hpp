@@ -166,9 +166,10 @@ enum class ExecMode {
   /// instead, since waiting there on its own pool can deadlock (see
   /// thread_pool.hpp); the counts and modelled time are the same.
   kStriped,
-  /// All blocks drained on the calling thread. Used by the batched tuning
-  /// pipeline, where parallelism lives at the candidate level and a striped
-  /// launch would oversubscribe the cores.
+  /// All blocks drained on the calling thread. Used by serving sessions,
+  /// where parallelism lives at the batch level: each in-flight batch
+  /// occupies one host thread, and a striped launch would oversubscribe the
+  /// cores.
   kSerial,
 };
 

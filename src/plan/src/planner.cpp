@@ -55,12 +55,12 @@ double predicted_io_elems(const ConvShape& s, ConvAlgorithm algo,
       return direct_dataflow_reads(s, cfg.x, cfg.y, cfg.z) + out;
     case ConvAlgorithm::kWinogradFused:
       return winograd_dataflow_reads(s, e, cfg.x, cfg.y, cfg.z) + out;
-    case ConvAlgorithm::kDirectNaive:
-      // Literally an 8 x 8 x 1 instance of the tiled dataflow (no
+    case ConvAlgorithm::kDirectNaive: {
+      // The tiled dataflow at its fixed 8 x 8 x 1 configuration (no
       // output-channel reuse).
-      return direct_dataflow_reads(s, std::min<std::int64_t>(8, s.hout()),
-                                   std::min<std::int64_t>(8, s.wout()), 1) +
-             out;
+      const ConvConfig n = naive_direct_config(s);
+      return direct_dataflow_reads(s, n.x, n.y, n.z) + out;
+    }
     case ConvAlgorithm::kIm2col: {
       // Column matrix written then re-read by the GEMM.
       const double col = static_cast<double>(s.batch * s.hout() * s.wout()) *
@@ -89,17 +89,6 @@ double roofline_seconds(const MachineSpec& spec, double io_elems,
   const double io_s = io_elems * sizeof(float) / spec.global_bw;
   const double fl_s = flops / spec.peak_flops;
   return std::max(io_s, fl_s) + spec.launch_overhead;
-}
-
-/// Best applicable lower bound of the algorithm's family; the exact proof
-/// form can be vacuous (zero) at small scales, so take the leading form too.
-double family_lower_bound(const ConvShape& s, ConvAlgorithm algo,
-                          std::int64_t e, double S) {
-  if (is_winograd(algo))
-    return std::max(winograd_lower_bound(s, e, S),
-                    winograd_lower_bound_leading(s, e, S));
-  return std::max(direct_conv_lower_bound(s, S),
-                  direct_conv_lower_bound_leading(s, S));
 }
 
 std::string memo_key(const MachineSpec& spec, const ConvShape& s,
@@ -178,7 +167,6 @@ PlanCandidate Planner::make_candidate(SimGpu& gpu, const ConvShape& s,
         aopts.seed = opts.seed;
         aopts.winograd = wino;
         aopts.e = e;
-        aopts.workers = opts.workers;
         const AutotuneOutcome outcome = autotune_conv(gpu, s, aopts);
         if (outcome.result.best_seconds < 1e30) {
           c.config = outcome.result.best;
@@ -191,8 +179,9 @@ PlanCandidate Planner::make_candidate(SimGpu& gpu, const ConvShape& s,
   }
 
   c.predicted_io_elems = predicted_io_elems(s, algo, c.config, e);
-  c.lower_bound_elems = family_lower_bound(
-      s, algo, e, static_cast<double>(spec.smem_floats()));
+  c.lower_bound_elems =
+      family_lower_bound(s, is_winograd(algo) ? e : 0,
+                         static_cast<double>(spec.smem_floats()));
   const double flops = is_winograd(algo)
                            ? winograd_flops_estimate(s, e)
                            : static_cast<double>(s.flops());

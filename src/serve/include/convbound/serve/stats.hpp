@@ -163,10 +163,10 @@ class ServerStats {
   /// pay nothing and see no class map.
   void record_submitted(std::size_t queue_depth_after,
                         const std::string& cls = {});
-  void record_rejected(const std::string& cls = {});
-  void record_quota_rejected(const std::string& cls = {});
-  /// A submit that lost the race with server stop (ServeStatus::kShutdown).
-  void record_shutdown_rejected(const std::string& cls = {});
+  /// A submit refused at the front door, counted as a submission and in
+  /// the counter of its `status`: kRejected (queue full), kQuotaExceeded,
+  /// or kShutdown (lost the race with server stop).
+  void record_rejected(ServeStatus status, const std::string& cls = {});
   void record_expired(std::size_t n, const std::string& cls = {});
   void record_failed(std::size_t n);
   /// One executed micro-batch: group size, modelled batch time, and the

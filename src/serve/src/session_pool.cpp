@@ -20,7 +20,7 @@ ServeSession::ServeSession(const ServedModel& model, std::int64_t bucket,
     : model_(&model),
       bucket_(bucket),
       // Serial block draining: each in-flight batch occupies exactly one
-      // worker thread, like the per-worker replicas of BatchMeasurer.
+      // host thread, so concurrent batches never oversubscribe the cores.
       gpu_(spec, &ThreadPool::global(), ExecMode::kSerial),
       plan_opts_(plan_opts),
       planner_(&planner),

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "convbound/util/check.hpp"
+
 namespace convbound {
 
 namespace {
@@ -152,36 +154,24 @@ void ServerStats::record_submitted(std::size_t queue_depth_after,
   if (!cls.empty()) ++class_counters(cls).submitted;
 }
 
-void ServerStats::record_rejected(const std::string& cls) {
+void ServerStats::record_rejected(ServeStatus status, const std::string& cls) {
+  CB_CHECK_MSG(status == ServeStatus::kRejected ||
+                   status == ServeStatus::kQuotaExceeded ||
+                   status == ServeStatus::kShutdown,
+               "not a front-door refusal: " << to_string(status));
   MutexLock lock(mu_);
   ++submitted_;
-  ++rejected_;
-  if (!cls.empty()) {
-    ClassCounters& c = class_counters(cls);
-    ++c.submitted;
-    ++c.rejected;
-  }
-}
-
-void ServerStats::record_quota_rejected(const std::string& cls) {
-  MutexLock lock(mu_);
-  ++submitted_;
-  ++quota_rejected_;
-  if (!cls.empty()) {
-    ClassCounters& c = class_counters(cls);
-    ++c.submitted;
-    ++c.quota_rejected;
-  }
-}
-
-void ServerStats::record_shutdown_rejected(const std::string& cls) {
-  MutexLock lock(mu_);
-  ++submitted_;
-  ++shutdown_rejected_;
-  if (!cls.empty()) {
-    ClassCounters& c = class_counters(cls);
-    ++c.submitted;
-    ++c.shutdown_rejected;
+  ClassCounters* c = cls.empty() ? nullptr : &class_counters(cls);
+  if (c != nullptr) ++c->submitted;
+  if (status == ServeStatus::kRejected) {
+    ++rejected_;
+    if (c != nullptr) ++c->rejected;
+  } else if (status == ServeStatus::kQuotaExceeded) {
+    ++quota_rejected_;
+    if (c != nullptr) ++c->quota_rejected;
+  } else {
+    ++shutdown_rejected_;
+    if (c != nullptr) ++c->shutdown_rejected;
   }
 }
 

@@ -1,14 +1,16 @@
-// Batch-oriented, thread-pool-parallel measurement engine.
+// Batch-oriented, thread-pool-parallel measurement engine: the one
+// Measurer every tuner runs against.
 //
-// The serial ConvMeasurer stripes each kernel's blocks across the pool, so
-// tuning wall-clock scales linearly with the trial budget no matter how many
-// cores the host has. BatchMeasurer flips the parallelism axis: tuners hand
-// over a whole proposal batch, and candidates are evaluated concurrently by
-// per-worker replicas — each one a serial-mode SimGpu plus a private scratch
-// output — over shared immutable problem tensors. Cores run one candidate
-// each instead of striping one candidate's blocks, so they are never
-// oversubscribed, and results align with the proposal order by index, which
-// keeps search traces bit-identical across worker counts.
+// Tuners hand over a whole proposal batch, and candidates are evaluated
+// concurrently by per-worker replicas — each one a SimGpu on the
+// measurer's pool plus a private scratch output — over shared immutable
+// problem tensors. A replica measuring on a pool worker launches serially
+// on that worker (the nested-pool rule, thread_pool.hpp), so cores run one
+// candidate each instead of striping one candidate's blocks and are never
+// oversubscribed. A batch that lands on a single replica runs on the
+// caller's thread instead, with its blocks striped across the pool.
+// Results align with the proposal order by index, which keeps search traces
+// bit-identical across worker counts.
 #pragma once
 
 #include <atomic>
@@ -41,9 +43,8 @@ class BatchMeasurer : public Measurer {
   struct Worker {
     SimGpu gpu;
     Tensor4<float> out;
-    Worker(const MachineSpec& spec, const ConvShape& s)
-        : gpu(spec, nullptr, ExecMode::kSerial),
-          out(s.batch, s.cout, s.hout(), s.wout()) {}
+    Worker(const MachineSpec& spec, const ConvShape& s, ThreadPool* pool)
+        : gpu(spec, pool), out(s.batch, s.cout, s.hout(), s.wout()) {}
   };
 
   SearchDomain domain_;

@@ -18,10 +18,6 @@ struct AutotuneOptions {
   bool winograd = false;
   std::int64_t e = 2;
   bool prune_with_optimality = true;
-  /// Parallel measurement workers for the batched evaluation pipeline;
-  /// 0 = one per hardware thread. The search trace is identical for any
-  /// value — workers only change wall-clock.
-  int workers = 0;
   /// Strategy id for make_tuner: "ate" (default) | "bnb" | "sa" | "ga" |
   /// "random".
   std::string tuner = "ate";

@@ -56,7 +56,7 @@ class Measurer {
       const std::vector<ConvConfig>& cfgs) = 0;
 
   /// Convenience single-candidate measurement.
-  virtual Measurement measure(const ConvConfig& cfg);
+  Measurement measure(const ConvConfig& cfg);
 
   /// Total kernel executions performed so far.
   virtual std::uint64_t trials() const = 0;
@@ -65,28 +65,6 @@ class Measurer {
   double gflops(double seconds) const {
     return static_cast<double>(domain().shape().flops()) / seconds / 1e9;
   }
-};
-
-/// Serial measurer: one SimGpu (striped over the pool), one scratch output.
-/// The reference implementation the batched engine must agree with.
-class ConvMeasurer : public Measurer {
- public:
-  ConvMeasurer(SimGpu& gpu, const SearchDomain& domain,
-               std::uint64_t seed = 42);
-
-  Measurement measure(const ConvConfig& cfg) override;
-  std::vector<Measurement> measure_batch(
-      const std::vector<ConvConfig>& cfgs) override;
-
-  std::uint64_t trials() const override { return trials_; }
-  const SearchDomain& domain() const override { return domain_; }
-
- private:
-  SimGpu& gpu_;
-  SearchDomain domain_;
-  std::shared_ptr<const MeasureInputs> inputs_;
-  Tensor4<float> out_;
-  std::uint64_t trials_ = 0;
 };
 
 }  // namespace convbound

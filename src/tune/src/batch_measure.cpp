@@ -14,7 +14,7 @@ BatchMeasurer::BatchMeasurer(const MachineSpec& spec,
                                     : pool_->num_threads();
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
-    workers_.push_back(std::make_unique<Worker>(spec, domain_.shape()));
+    workers_.push_back(std::make_unique<Worker>(spec, domain_.shape(), pool_));
 }
 
 std::vector<Measurement> BatchMeasurer::measure_batch(

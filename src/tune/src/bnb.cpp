@@ -148,7 +148,9 @@ double subtree_lower_seconds(const SearchDomain& domain,
   // Every config in the box also writes the full output once, and no
   // execution moves fewer elements than the red-blue pebble bound at the
   // box's largest per-block fast memory (Thm 4.12/4.20; Q(S) is decreasing
-  // in S). The roofline uses the machine's *ideal* bandwidth and peak —
+  // in S). Only the exact proof form is admissible here: family_lower_bound
+  // also takes the leading form, which is not a proven bound and could
+  // prune the true optimum. The roofline uses the machine's *ideal* bandwidth and peak —
   // model_time only ever degrades both — plus the unavoidable launch cost.
   const double writes = static_cast<double>(s.output_elems());
   const double io_elems = std::max(reads_min + writes, thm);

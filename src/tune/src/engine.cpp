@@ -15,12 +15,11 @@ AutotuneOutcome autotune_conv(SimGpu& gpu, const ConvShape& shape,
   const std::string key =
       TuneCache::make_key(gpu.spec(), shape, opts.winograd, opts.e);
 
-  // Batched evaluation pipeline: per-worker serial-mode machine replicas
-  // measure whole proposal batches concurrently on the caller's pool (so a
-  // bounded SimGpu pool still caps CPU use). Traces are identical to the
-  // serial ConvMeasurer path for the same seed.
-  BatchMeasurer measurer(gpu.spec(), domain, opts.seed, opts.workers,
-                         gpu.pool());
+  // Batched evaluation pipeline: one machine replica per thread of the
+  // caller's pool measures whole proposal batches concurrently (so a
+  // bounded SimGpu pool still caps CPU use). The trace is the same for any
+  // pool size.
+  BatchMeasurer measurer(gpu.spec(), domain, opts.seed, 0, gpu.pool());
 
   TunerOptions topts;
   topts.seed = opts.seed;

@@ -45,24 +45,4 @@ Measurement Measurer::measure(const ConvConfig& cfg) {
   return measure_batch({cfg}).front();
 }
 
-ConvMeasurer::ConvMeasurer(SimGpu& gpu, const SearchDomain& domain,
-                           std::uint64_t seed)
-    : gpu_(gpu), domain_(domain),
-      inputs_(MeasureInputs::create(domain, seed)),
-      out_(domain.shape().batch, domain.shape().cout, domain.shape().hout(),
-           domain.shape().wout()) {}
-
-Measurement ConvMeasurer::measure(const ConvConfig& cfg) {
-  ++trials_;
-  return measure_config(gpu_, domain_, *inputs_, out_, cfg);
-}
-
-std::vector<Measurement> ConvMeasurer::measure_batch(
-    const std::vector<ConvConfig>& cfgs) {
-  std::vector<Measurement> out;
-  out.reserve(cfgs.size());
-  for (const ConvConfig& cfg : cfgs) out.push_back(measure(cfg));
-  return out;
-}
-
 }  // namespace convbound

@@ -85,9 +85,9 @@ TEST_P(DirectBaselineCorrectness, NaiveMatchesReference) {
   const ConvProblem prob = make_problem(s, 13);
   const Tensor4<float> expect = conv2d_ref(prob.input, prob.weights, s);
   SimGpu gpu(MachineSpec::v100());
-  Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
-  direct_naive_sim(gpu, prob.input, prob.weights, s, out);
-  EXPECT_TRUE(allclose(expect, out, 1e-3, 1e-3)) << s.to_string();
+  const ConvResult got =
+      run_conv(gpu, ConvAlgorithm::kDirectNaive, prob.input, prob.weights, s);
+  EXPECT_TRUE(allclose(expect, got.output, 1e-3, 1e-3)) << s.to_string();
 }
 
 TEST_P(DirectBaselineCorrectness, Im2colMatchesReference) {
@@ -164,7 +164,9 @@ TEST(DirectTiled, BeatsBaselinesOnIo) {
   Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
   const ConvConfig c = default_tiled_config(s, gpu.spec());
   const auto ours = direct_tiled_sim(gpu, prob.input, prob.weights, s, c, out);
-  const auto naive = direct_naive_sim(gpu, prob.input, prob.weights, s, out);
+  const auto naive =
+      run_conv(gpu, ConvAlgorithm::kDirectNaive, prob.input, prob.weights, s)
+          .stats;
   const auto i2c = im2col_sim(gpu, prob.input, prob.weights, s, out);
   EXPECT_LT(ours.bytes_total(), naive.bytes_total());
   EXPECT_LT(ours.bytes_total(), i2c.bytes_total());

@@ -112,9 +112,9 @@ TEST(GroupedNaive, MatchesReference) {
   const ConvProblem prob = make_problem(s, 71);
   const Tensor4<float> expect = conv2d_ref(prob.input, prob.weights, s);
   SimGpu gpu(MachineSpec::v100());
-  Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
-  direct_naive_sim(gpu, prob.input, prob.weights, s, out);
-  EXPECT_TRUE(allclose(expect, out, 1e-3, 1e-3));
+  const ConvResult got =
+      run_conv(gpu, ConvAlgorithm::kDirectNaive, prob.input, prob.weights, s);
+  EXPECT_TRUE(allclose(expect, got.output, 1e-3, 1e-3));
 }
 
 TEST(GroupedDispatch, UnsupportedAlgorithmsDeclineGroups) {

@@ -306,8 +306,10 @@ TEST(StripedServerStats, SnapshotFoldsSkewedStripesNotStripeZero) {
   stats.stripe(0).record_submitted(1, "paid");
   for (int i = 0; i < 100; ++i)
     stats.stripe(2).record_submitted(static_cast<std::size_t>(i), "paid");
-  for (int i = 0; i < 7; ++i) stats.stripe(1).record_rejected("free");
-  for (int i = 0; i < 5; ++i) stats.stripe(3).record_quota_rejected("free");
+  for (int i = 0; i < 7; ++i)
+    stats.stripe(1).record_rejected(ServeStatus::kRejected, "free");
+  for (int i = 0; i < 5; ++i)
+    stats.stripe(3).record_rejected(ServeStatus::kQuotaExceeded, "free");
   stats.exec_stripe().record_expired(3, "free");
   stats.exec_stripe().record_batch(2, 1e-3, {1e-3, 2e-3}, {"paid", "paid"});
 
@@ -345,8 +347,8 @@ TEST(StripedServerStats, SnapshotFoldsSkewedStripesNotStripeZero) {
 TEST(ServerStats, RecordsStagesAndShutdownRejections) {
   ServerStats stats;
   stats.mark_start();
-  stats.record_shutdown_rejected("paid");
-  stats.record_shutdown_rejected();
+  stats.record_rejected(ServeStatus::kShutdown, "paid");
+  stats.record_rejected(ServeStatus::kShutdown);
   std::vector<ServerStats::StageLatencies> stages(2);
   stages[0] = {1e-3, 2e-3, 3e-3};   // sums to the 6ms latency below
   stages[1] = {4e-3, 5e-3, 11e-3};  // sums to 20ms
@@ -393,7 +395,7 @@ TEST(MergeSnapshots, QueueDepthSumsShardVectorsAddStagesMerge) {
   st_b[0] = {10e-3, 5e-3, 15e-3};
   a_stats.record_batch(1, 1e-4, {4e-3}, {}, st_a);
   b_stats.record_batch(1, 1e-4, {30e-3}, {}, st_b);
-  a_stats.record_shutdown_rejected();
+  a_stats.record_rejected(ServeStatus::kShutdown);
 
   StatsSnapshot a = a_stats.snapshot();
   StatsSnapshot b = b_stats.snapshot();

@@ -1,7 +1,7 @@
 // The batched measurement engine's contract: candidate-level parallelism
 // must never change what the tuner searches. Same seed => bit-identical
-// TuneResult.history whether measurements run serially (ConvMeasurer) or
-// through BatchMeasurer with any worker count.
+// TuneResult.history whether measurements run one by one through
+// measure_config or through BatchMeasurer with any worker count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -49,6 +49,35 @@ std::unique_ptr<Tuner> make_tuner(const std::string& kind,
   return std::make_unique<AteTuner>(seed);
 }
 
+// The reference every BatchMeasurer must agree with: each candidate in
+// order through measure_config on one striped SimGpu.
+class LoopMeasurer final : public Measurer {
+ public:
+  LoopMeasurer(SimGpu& gpu, const SearchDomain& domain, std::uint64_t seed)
+      : gpu_(gpu), domain_(domain),
+        inputs_(MeasureInputs::create(domain, seed)),
+        out_(domain.shape().batch, domain.shape().cout,
+             domain.shape().hout(), domain.shape().wout()) {}
+
+  const SearchDomain& domain() const override { return domain_; }
+  std::uint64_t trials() const override { return trials_; }
+  std::vector<Measurement> measure_batch(
+      const std::vector<ConvConfig>& cfgs) override {
+    std::vector<Measurement> out;
+    for (const ConvConfig& cfg : cfgs)
+      out.push_back(measure_config(gpu_, domain_, *inputs_, out_, cfg));
+    trials_ += cfgs.size();
+    return out;
+  }
+
+ private:
+  SimGpu& gpu_;
+  SearchDomain domain_;
+  std::shared_ptr<const MeasureInputs> inputs_;
+  Tensor4<float> out_;
+  std::uint64_t trials_ = 0;
+};
+
 class ParallelDeterminism : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ParallelDeterminism, HistoryIndependentOfWorkerCount) {
@@ -57,8 +86,8 @@ TEST_P(ParallelDeterminism, HistoryIndependentOfWorkerCount) {
   SimGpu gpu(MachineSpec::v100());
   const auto domain = SearchDomain::build(small_shape(), gpu.spec());
 
-  // Reference: the serial measurement path.
-  ConvMeasurer serial(gpu, domain, kSeed);
+  // Reference: the one-by-one measurement loop.
+  LoopMeasurer serial(gpu, domain, kSeed);
   const TuneResult ref = make_tuner(GetParam(), kSeed)->run(serial, kBudget);
   ASSERT_EQ(ref.history.size(), static_cast<std::size_t>(kBudget));
 
@@ -78,7 +107,7 @@ INSTANTIATE_TEST_SUITE_P(AllTuners, ParallelDeterminism,
 TEST(BatchMeasurer, MatchesSerialMeasurementsExactly) {
   SimGpu gpu(MachineSpec::v100());
   const auto domain = SearchDomain::build(small_shape(), gpu.spec());
-  ConvMeasurer serial(gpu, domain, 5);
+  LoopMeasurer serial(gpu, domain, 5);
   BatchMeasurer batched(gpu.spec(), domain, 5, 4);
 
   Rng rng(9);
@@ -95,6 +124,30 @@ TEST(BatchMeasurer, MatchesSerialMeasurementsExactly) {
     EXPECT_EQ(ms[i].stats.flops, ref.stats.flops) << i;
   }
   EXPECT_EQ(batched.trials(), cfgs.size());
+}
+
+TEST(BatchMeasurer, OneConfigOnOneWorkerMatchesManyWorkers) {
+  // A one-config batch runs on the caller's thread with a striped launch;
+  // spread over workers, the same config runs serially on a pool worker.
+  SimGpu gpu(MachineSpec::v100());
+  const auto domain = SearchDomain::build(small_shape(), gpu.spec());
+  BatchMeasurer one(gpu.spec(), domain, 5, 1);
+  BatchMeasurer many(gpu.spec(), domain, 5, 4);
+
+  Rng rng(17);
+  std::vector<ConvConfig> cfgs;
+  for (int i = 0; i < 4; ++i) cfgs.push_back(domain.sample(rng));
+  const auto spread = many.measure_batch(cfgs);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    const Measurement a = one.measure(cfgs[i]);
+    EXPECT_EQ(a.valid, spread[i].valid) << i;
+    EXPECT_EQ(a.seconds, spread[i].seconds) << i;
+    EXPECT_EQ(a.stats.bytes_loaded, spread[i].stats.bytes_loaded) << i;
+    EXPECT_EQ(a.stats.bytes_stored, spread[i].stats.bytes_stored) << i;
+    EXPECT_EQ(a.stats.flops, spread[i].stats.flops) << i;
+    EXPECT_EQ(a.stats.num_blocks, spread[i].stats.num_blocks) << i;
+  }
+  EXPECT_EQ(one.trials(), cfgs.size());
 }
 
 TEST(BatchMeasurer, InvalidConfigsComeBackInvalidInBatch) {
@@ -212,15 +265,16 @@ TEST(SimGpuExecMode, StripedLaunchFromOwnPoolWorkerCountsIdentically) {
 }
 
 TEST(Engine, BatchedAutotuneDeterministicAcrossWorkerCounts) {
-  SimGpu gpu(MachineSpec::v100());
+  // autotune_conv runs one measurement replica per thread of the SimGpu's
+  // pool, so the pool size is the worker count.
+  ThreadPool pool1(1), pool8(8);
+  SimGpu gpu1(MachineSpec::v100(), &pool1), gpu8(MachineSpec::v100(), &pool8);
   AutotuneOptions opts;
   opts.budget = 24;
   opts.seed = 4;
 
-  opts.workers = 1;
-  const AutotuneOutcome one = autotune_conv(gpu, small_shape(), opts);
-  opts.workers = 8;
-  const AutotuneOutcome eight = autotune_conv(gpu, small_shape(), opts);
+  const AutotuneOutcome one = autotune_conv(gpu1, small_shape(), opts);
+  const AutotuneOutcome eight = autotune_conv(gpu8, small_shape(), opts);
   expect_identical(one.result, eight.result, "engine");
   EXPECT_EQ(one.best_gflops, eight.best_gflops);
   EXPECT_GT(one.best_gflops, 0);

@@ -3,10 +3,10 @@
 #include <numeric>
 
 #include "convbound/ml/gbt.hpp"
+#include "convbound/tune/batch_measure.hpp"
 #include "convbound/tune/domain.hpp"
 #include "convbound/tune/engine.hpp"
 #include "convbound/tune/features.hpp"
-#include "convbound/tune/measure.hpp"
 #include "convbound/tune/tuners.hpp"
 
 namespace convbound {
@@ -115,7 +115,7 @@ TEST(Features, DistinguishLayouts) {
 TEST(Measurer, MeasuresValidConfig) {
   SimGpu gpu(MachineSpec::v100());
   const auto d = SearchDomain::build(small_shape(), gpu.spec());
-  ConvMeasurer m(gpu, d);
+  BatchMeasurer m(gpu.spec(), d);
   Rng rng(5);
   const Measurement r = m.measure(d.sample(rng));
   EXPECT_TRUE(r.valid);
@@ -127,7 +127,7 @@ TEST(Measurer, MeasuresValidConfig) {
 TEST(Measurer, InvalidConfigIsInfinite) {
   SimGpu gpu(MachineSpec::v100());
   const auto d = SearchDomain::build(small_shape(), gpu.spec());
-  ConvMeasurer m(gpu, d);
+  BatchMeasurer m(gpu.spec(), d);
   ConvConfig c;
   c.x = 16;
   c.y = 16;
@@ -149,7 +149,7 @@ TEST(Tuners, AllFindValidConfigs) {
   tuners.push_back(std::make_unique<GeneticTuner>(1));
   tuners.push_back(std::make_unique<AteTuner>(1));
   for (auto& t : tuners) {
-    ConvMeasurer m(gpu, d);
+    BatchMeasurer m(gpu.spec(), d);
     const TuneResult r = t->run(m, 24);
     EXPECT_EQ(r.history.size(), 24u) << t->name();
     EXPECT_LT(r.best_seconds, 1e30) << t->name();
@@ -169,7 +169,7 @@ TEST(Tuners, AteBeatsOrMatchesRandomOnSameBudget) {
   s.kh = s.kw = 3;
   s.pad = 1;
   const auto d = SearchDomain::build(s, gpu.spec());
-  ConvMeasurer m_ate(gpu, d), m_rnd(gpu, d);
+  BatchMeasurer m_ate(gpu.spec(), d), m_rnd(gpu.spec(), d);
   AteTuner ate(3);
   RandomTuner rnd(3);
   const TuneResult ra = ate.run(m_ate, 48);
@@ -180,7 +180,7 @@ TEST(Tuners, AteBeatsOrMatchesRandomOnSameBudget) {
 TEST(Tuners, ConvergenceTrialWellDefined) {
   SimGpu gpu(MachineSpec::v100());
   const auto d = SearchDomain::build(small_shape(), gpu.spec());
-  ConvMeasurer m(gpu, d);
+  BatchMeasurer m(gpu.spec(), d);
   RandomTuner t(2);
   const TuneResult r = t.run(m, 16);
   const int conv = r.trials_to_converge();
@@ -240,7 +240,7 @@ TEST(CostModel, GbtRanksRealMeasurements) {
   s.kh = s.kw = 3;
   s.pad = 1;
   const auto domain = SearchDomain::build(s, gpu.spec());
-  ConvMeasurer m(gpu, domain, 3);
+  BatchMeasurer m(gpu.spec(), domain, 3);
   Rng rng(3);
 
   std::vector<std::vector<double>> X;

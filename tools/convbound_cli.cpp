@@ -4,12 +4,12 @@
 //   bound  --cin N --in N --cout N [--ker N --stride N --pad N --smem KB]
 //       Print I/O lower bounds and dataflow predictions for a shape.
 //   run    --cin N --in N --cout N [...] [--machine NAME] [--algo NAME]
-//       Execute one convolution on the simulated machine and report stats.
+//       Execute one convolution on the simulated machine and report stats,
+//       with its I/O against its algorithm family's lower bound.
 //   tune   --cin N --in N --cout N [...] [--budget N] [--cache FILE]
-//          [--workers N] [--tuner bnb|ate|sa|ga|random]
-//          [--checkpoint FILE] [--resume 1]
+//          [--tuner bnb|ate|sa|ga|random] [--checkpoint FILE] [--resume 1]
 //       Auto-tune the dataflow with the batched parallel measurement
-//       engine (--workers 0 = one per hardware thread); optionally
+//       engine (one replica per hardware thread); optionally
 //       persist the result to a cache. --checkpoint writes the resumable
 //       search state after every measured batch; --resume 1 continues a
 //       checkpointed search bit-identically up to --budget total trials
@@ -195,14 +195,16 @@ int cmd_run(const Args& a) {
   std::printf("  correct:   %s\n", ok ? "yes" : "NO  <-- bug!");
   std::printf("  sim time:  %.3f us\n", stats.sim_time * 1e6);
   std::printf("  GFlops:    %.0f\n", stats.gflops());
-  // Exact Thm 4.12 can be vacuous (zero) at small scales; fall back to the
-  // leading term so the ratio stays informative.
-  const double S = static_cast<double>(gpu.spec().smem_floats());
-  const double bound = std::max(direct_conv_lower_bound(s, S),
-                                direct_conv_lower_bound_leading(s, S));
-  std::printf("  I/O:       %.3f MB (%.1fx the Thm 4.12 bound)\n",
+  // Winograd runs use run_conv's default F(2x2, r x r); e == 0 selects the
+  // direct family's bound.
+  const std::int64_t bound_e =
+      algo_name == "winograd" || algo_name == "phased" ? 2 : 0;
+  const double bound = family_lower_bound(
+      s, bound_e, static_cast<double>(gpu.spec().smem_floats()));
+  std::printf("  I/O:       %.3f MB (%.1fx the %s bound)\n",
               static_cast<double>(stats.bytes_total()) / 1e6,
-              static_cast<double>(stats.bytes_total()) / 4.0 / bound);
+              static_cast<double>(stats.bytes_total()) / 4.0 / bound,
+              bound_e > 0 ? "Thm 4.20" : "Thm 4.12");
   return ok ? 0 : 1;
 }
 
@@ -213,7 +215,6 @@ int cmd_tune(const Args& a) {
   opts.budget = static_cast<int>(a.geti("budget", 64));
   opts.winograd = a.geti("winograd", 0) != 0;
   opts.seed = static_cast<std::uint64_t>(a.geti("seed", 1));
-  opts.workers = static_cast<int>(a.geti("workers", 0));
   opts.tuner = a.gets("tuner", "ate");
   opts.checkpoint = a.gets("checkpoint", "");
   opts.resume = a.geti("resume", 0) != 0;
@@ -302,7 +303,6 @@ PlannerOptions planner_options_from(const Args& a) {
       set == "ours" ? CandidateSet::kOurs : CandidateSet::kBaseline;
   opts.tune_budget = static_cast<int>(a.geti("budget", 32));
   opts.seed = static_cast<std::uint64_t>(a.geti("seed", 42));
-  opts.workers = static_cast<int>(a.geti("workers", 0));
   return opts;
 }
 
